@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hive_vqe.hamiltonian import Boundary, PauliString, PauliSum
+from hive_vqe.hamiltonian import Boundary, PauliSum
 from hive_vqe.statevector import (
     StateVector,
     apply_coupling_generator,
@@ -47,21 +47,6 @@ class HvaCircuit:
     @property
     def n_params(self) -> int:
         return 2 * self.layers
-
-    def generators(self) -> tuple[PauliSum, PauliSum]:
-        """Unit-weighted coupling and field sums, for diagnostics and tests."""
-        coupling = []
-        for i in range(self.boundary.coupling_count(self.n)):
-            letters = ["I"] * self.n
-            letters[i] = "Z"
-            letters[(i + 1) % self.n] = "Z"
-            coupling.append(PauliString(1.0, "".join(letters)))
-        field = []
-        for i in range(self.n):
-            letters = ["I"] * self.n
-            letters[i] = "X"
-            field.append(PauliString(1.0, "".join(letters)))
-        return PauliSum(self.n, tuple(coupling)), PauliSum(self.n, tuple(field))
 
 
 def _check_theta(circuit: HvaCircuit, theta) -> np.ndarray:

@@ -6,6 +6,12 @@ state ``b`` assigns qubit ``i`` the bit ``(b >> (n - 1 - i)) & 1``, and the Z
 eigenvalue is ``+1`` for bit 0, ``-1`` for bit 1.  Any self-consistent
 ordering gives the same spectra; this one is pinned so dense matrices, phase
 tables, and tests agree entry for entry.
+
+In this ordering the n-qubit Hadamard transform is the Sylvester matrix
+``W[b, c] = (-1)**popcount(b & c)`` up to a factor ``2**(-n/2)``, and it maps
+``X_i`` to ``Z_i``.  So a string of only ``I`` and ``X`` is diagonal after
+``walsh_hadamard``, just as a string of only ``I`` and ``Z`` is diagonal
+before it; ``sum_i X_i`` has eigenvalue ``n - 2 * popcount(b)`` there.
 """
 
 from __future__ import annotations
@@ -31,6 +37,41 @@ def _check_dense_size(n: int) -> None:
         raise ValueError(
             f"dense materialization is limited to {MAX_DENSE_QUBITS} qubits, got n={n}"
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _sylvester(k: int) -> np.ndarray:
+    """Unnormalized Hadamard matrix of order ``2**k``, entries +-1, read-only."""
+    w = np.ones((1, 1))
+    for _ in range(k):
+        w = np.block([[w, w], [w, -w]])
+    w.flags.writeable = False
+    return w
+
+
+def walsh_hadamard(amplitudes: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform ``W`` on the last axis.
+
+    Entry ``b`` of the result is ``sum_c (-1)**popcount(b & c) * a[c]``, so
+    applying it twice multiplies by ``2**n``.  ``W = W_k (x) W_{n-k}`` acts on
+    an ``(..., 2**k, 2**(n-k))`` view as two real matrix products on the
+    stacked real and imaginary planes.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    n = amplitudes.shape[-1].bit_length() - 1
+    if n < 1 or amplitudes.shape[-1] != 1 << n:
+        raise ValueError(f"last axis must have length 2**n, n >= 1, got {amplitudes.shape[-1]}")
+    k = n // 2
+    planes = np.empty((2,) + amplitudes.shape)
+    planes[0] = amplitudes.real
+    planes[1] = amplitudes.imag
+    planes = planes.reshape(-1, 1 << (n - k)) @ _sylvester(n - k)
+    planes = np.matmul(_sylvester(k), planes.reshape(-1, 1 << k, 1 << (n - k)))
+    planes = planes.reshape((2,) + amplitudes.shape)
+    out = np.empty(amplitudes.shape, dtype=np.complex128)
+    out.real = planes[0]
+    out.imag = planes[1]
+    return out
 
 
 class Boundary(enum.Enum):
@@ -116,15 +157,23 @@ class PauliSum:
         return out
 
     @functools.cached_property
-    def _action(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-term (gather indices, phases) for matrix-free application.
+    def _action(self) -> tuple[np.ndarray, np.ndarray | None, list[tuple[np.ndarray, np.ndarray]]]:
+        """The operator split by basis, for matrix-free application.
 
-        A Pauli string maps basis state ``b`` to ``phase(b) * |b ^ flip>``, so
-        its action on an amplitude vector is one gather plus one multiply.
+        Returns ``(z_diagonal, x_diagonal, gathers)``.  Strings of only ``I``
+        and ``Z`` sum to ``z_diagonal``, diagonal in the computational basis.
+        Strings of only ``I`` and ``X`` sum to ``x_diagonal``, diagonal in the
+        Hadamard basis, with the ``2**-n`` of the two unnormalized transforms
+        folded in; it is ``None`` when there is no such string.  Every other
+        string maps basis state ``b`` to ``phase(b) * |b ^ flip>`` and keeps
+        one ``(gather indices, phases)`` pair.
         """
         dim = 1 << self.n
         idx = np.arange(dim)
-        tables = []
+        z_diagonal = np.zeros(dim)
+        x_diagonal = np.zeros(dim)
+        has_x = False
+        gathers = []
         for term in self.terms:
             flip = 0
             sign_mask = 0
@@ -137,24 +186,57 @@ class PauliSum:
                     sign_mask |= bit
                 if letter == "Y":
                     y_count += 1
-            src = idx ^ flip
-            parity = _bit_parity(src & sign_mask, self.n)
-            phase = term.coefficient * (1j**y_count) * (1.0 - 2.0 * parity)
-            tables.append((src, phase.astype(np.complex128)))
-        return tables
+            if flip == 0:
+                z_diagonal += term.coefficient * (1.0 - 2.0 * _bit_parity(idx & sign_mask, self.n))
+            elif sign_mask == 0:
+                x_diagonal += term.coefficient * (1.0 - 2.0 * _bit_parity(idx & flip, self.n))
+                has_x = True
+            else:
+                src = idx ^ flip
+                parity = _bit_parity(src & sign_mask, self.n)
+                phase = term.coefficient * (1j**y_count) * (1.0 - 2.0 * parity)
+                gathers.append((src, phase.astype(np.complex128)))
+        return z_diagonal, (x_diagonal / dim if has_x else None), gathers
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Matrix-free operator product, acting on the last axis."""
+    def _check_amplitudes(self, amplitudes: np.ndarray) -> np.ndarray:
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
         dim = 1 << self.n
         if amplitudes.shape[-1] != dim:
             raise ValueError(
                 f"amplitude axis has length {amplitudes.shape[-1]}, expected {dim}"
             )
-        out = np.zeros_like(amplitudes)
-        for src, phase in self._action:
+        return amplitudes
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Matrix-free operator product, acting on the last axis."""
+        amplitudes = self._check_amplitudes(amplitudes)
+        z_diagonal, x_diagonal, gathers = self._action
+        out = z_diagonal * amplitudes
+        if x_diagonal is not None:
+            out += walsh_hadamard(x_diagonal * walsh_hadamard(amplitudes))
+        for src, phase in gathers:
             out += phase * amplitudes[..., src]
         return out
+
+    def expectation(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Real expectation ``<a|op|a>`` of every row, reducing the last axis.
+
+        The diagonal parts reduce against ``|a|**2`` and ``|W a|**2``; only
+        strings holding a Y, or both an X and a Z, need the operator image.
+        """
+        amplitudes = self._check_amplitudes(amplitudes)
+        z_diagonal, x_diagonal, gathers = self._action
+        value = _abs_squared(amplitudes) @ z_diagonal
+        if x_diagonal is not None:
+            value += _abs_squared(walsh_hadamard(amplitudes)) @ x_diagonal
+        for src, phase in gathers:
+            image = phase * amplitudes[..., src]
+            value += np.sum(amplitudes.conj() * image, axis=-1).real
+        return value
+
+
+def _abs_squared(amplitudes: np.ndarray) -> np.ndarray:
+    return amplitudes.real**2 + amplitudes.imag**2
 
 
 def _bit_parity(values: np.ndarray, nbits: int) -> np.ndarray:

@@ -425,8 +425,6 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
 
 def run_diagnose(config: ExperimentConfig, theta_source: str, out_dir: str | Path) -> dict[str, object]:
     """Write qfim.csv, hessian.csv, theta.txt, and spectrum.txt for one point."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     theta, origin = resolve_theta(config, theta_source)
     circuit = HvaCircuit(n=config.qubits, layers=config.depth, boundary=config.boundary)
     hamiltonian = build_tfim(TfimSpec(n=config.qubits, h=config.h, boundary=config.boundary))
@@ -436,6 +434,8 @@ def run_diagnose(config: ExperimentConfig, theta_source: str, out_dir: str | Pat
     info_report = spectrum_report(info)
     curvature_report = spectrum_report(curvature)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(info.entries, out_dir / "qfim.csv")
     write_matrix_csv(curvature.entries, out_dir / "hessian.csv")
     (out_dir / "theta.txt").write_text(

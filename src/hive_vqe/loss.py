@@ -36,7 +36,7 @@ def vqe_energy_batch(circuit: HvaCircuit, thetas: np.ndarray, hamiltonian: Pauli
             f"operator acts on {hamiltonian.n} qubits, circuit expects {circuit.n}"
         )
     amps = prepare_amplitudes(circuit, thetas)
-    return np.einsum("bi,bi->b", amps.conj(), hamiltonian.apply(amps)).real
+    return hamiltonian.expectation(amps)
 
 
 @dataclass(frozen=True)

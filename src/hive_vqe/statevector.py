@@ -1,11 +1,15 @@
 """Dense complex statevector engine for chains of 2 to 12 qubits.
 
-Both circuit layers diagonalize by hand, so no matrix exponential is ever
-formed.  The coupling layer multiplies each basis amplitude by a phase drawn
-from a precomputed integer table of summed ZZ eigenvalues, and the field layer
-applies the same single-qubit rotation to every qubit as an in-place butterfly
-pass.  Every kernel accepts leading batch axes (one parameter row per batch
-row), which is what makes population-based optimization cheap.
+Each circuit generator is diagonal in a known basis, so no matrix
+exponential is ever formed.  The coupling sum ``sum Z_i Z_{i+1}`` is diagonal
+in the computational basis: its layer multiplies each amplitude by a phase
+drawn from a precomputed integer table of summed bond eigenvalues.  The field
+sum ``sum X_i`` is diagonal in the Hadamard basis with eigenvalue
+``n - 2 * popcount(b)``: its layer is a Walsh-Hadamard transform, one phase
+multiply and a second transform.  Phases are computed once per distinct
+eigenvalue and gathered.  Every kernel accepts leading batch axes (one
+parameter row per batch row), which is what makes population-based
+optimization cheap.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hive_vqe.hamiltonian import Boundary, PauliSum
+from hive_vqe.hamiltonian import Boundary, PauliSum, walsh_hadamard
 
 MIN_QUBITS = 2
 MAX_QUBITS = 12
@@ -101,18 +105,27 @@ def apply_zz_layer(amplitudes: np.ndarray, angle, n: int, boundary: Boundary) ->
     return amplitudes * phases[..., gather]
 
 
-def apply_x_layer(amplitudes: np.ndarray, angle, n: int) -> np.ndarray:
-    """Rotation kernel exp(-i * angle * sum_i X_i) on the last axis."""
-    out = np.array(amplitudes, dtype=np.complex128, copy=True)
-    lead = out.shape[:-1]
-    c = np.asarray(np.cos(angle), dtype=np.complex128)[..., None, None]
-    s = 1j * np.asarray(np.sin(angle), dtype=np.complex128)[..., None, None]
+@functools.lru_cache(maxsize=None)
+def _popcounts(n: int) -> np.ndarray:
+    """Number of one bits of every basis index, the Hadamard-basis label of ``sum X_i``."""
+    _check_qubit_count(n)
+    idx = np.arange(1 << n)
+    counts = np.zeros(1 << n, dtype=np.intp)
     for q in range(n):
-        view = out.reshape(lead + (1 << q, 2, 1 << (n - 1 - q)))
-        upper = view[..., 0, :].copy()
-        view[..., 0, :] = c * upper - s * view[..., 1, :]
-        view[..., 1, :] = c * view[..., 1, :] - s * upper
-    return out
+        counts += (idx >> q) & 1
+    counts.flags.writeable = False
+    return counts
+
+
+def apply_x_layer(amplitudes: np.ndarray, angle, n: int) -> np.ndarray:
+    """Rotation kernel exp(-i * angle * sum_i X_i) on the last axis.
+
+    ``angle`` may be a scalar or carry the batch shape of the leading axes.
+    """
+    eigenvalues = n - 2.0 * np.arange(n + 1)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(angle, dtype=np.float64), eigenvalues))
+    phases *= 2.0**-n
+    return walsh_hadamard(walsh_hadamard(amplitudes) * phases[..., _popcounts(n)])
 
 
 def apply_coupling_generator(amplitudes: np.ndarray, n: int, boundary: Boundary) -> np.ndarray:
@@ -122,17 +135,9 @@ def apply_coupling_generator(amplitudes: np.ndarray, n: int, boundary: Boundary)
 
 
 def apply_field_generator(amplitudes: np.ndarray, n: int) -> np.ndarray:
-    """Action of the field sum ``sum X_i`` (one bit-flip image per qubit)."""
-    src = np.asarray(amplitudes, dtype=np.complex128)
-    out = np.zeros_like(src)
-    lead = src.shape[:-1]
-    for q in range(n):
-        shape = lead + (1 << q, 2, 1 << (n - 1 - q))
-        view = src.reshape(shape)
-        acc = out.reshape(shape)
-        acc[..., 0, :] += view[..., 1, :]
-        acc[..., 1, :] += view[..., 0, :]
-    return out
+    """Action of the field sum ``sum X_i`` (diagonal in the Hadamard basis)."""
+    eigenvalues = (n - 2.0 * np.arange(n + 1)) * 2.0**-n
+    return walsh_hadamard(walsh_hadamard(amplitudes) * eigenvalues[_popcounts(n)])
 
 
 def ensure_normalized(amplitudes: np.ndarray) -> np.ndarray:
@@ -169,8 +174,7 @@ def expectation(state: StateVector, op: PauliSum) -> float:
     """Real expectation value of a Hermitian Pauli sum."""
     if op.n != state.n:
         raise ValueError(f"operator acts on {op.n} qubits, state has {state.n}")
-    value = np.vdot(state.amplitudes, op.apply(state.amplitudes))
-    return float(value.real)
+    return float(op.expectation(state.amplitudes))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -60,3 +60,50 @@ def dense_unitary(n: int, layers: int, theta: np.ndarray, boundary: Boundary) ->
 
 def plus_vec(n: int) -> np.ndarray:
     return np.full(2**n, 2.0 ** (-n / 2), dtype=np.complex128)
+
+
+def butterfly_x_layer(amplitudes: np.ndarray, angle, n: int) -> np.ndarray:
+    """exp(-i * angle * sum_i X_i) as one 2x2 rotation per qubit, batched.
+
+    The field layer's former in-place kernel, kept as a reference that needs
+    no dense matrix, so it reaches n = 12.
+    """
+    out = np.array(amplitudes, dtype=np.complex128, copy=True)
+    lead = out.shape[:-1]
+    c = np.asarray(np.cos(angle), dtype=np.complex128)[..., None, None]
+    s = 1j * np.asarray(np.sin(angle), dtype=np.complex128)[..., None, None]
+    for q in range(n):
+        view = out.reshape(lead + (1 << q, 2, 1 << (n - 1 - q)))
+        upper = view[..., 0, :].copy()
+        view[..., 0, :] = c * upper - s * view[..., 1, :]
+        view[..., 1, :] = c * view[..., 1, :] - s * upper
+    return out
+
+
+def gather_apply(op, amplitudes: np.ndarray) -> np.ndarray:
+    """Pauli sum times amplitudes, one gather and one multiply per string.
+
+    String ``P`` maps basis state ``b`` to ``phase(b) * |b ^ flip>``; this is
+    the operator's former matrix-free kernel.
+    """
+    n = op.n
+    idx = np.arange(1 << n)
+    out = np.zeros(np.shape(amplitudes), dtype=np.complex128)
+    for term in op.terms:
+        flip = sign_mask = 0
+        for i, letter in enumerate(term.letters):
+            bit = 1 << (n - 1 - i)
+            if letter in "XY":
+                flip |= bit
+            if letter in "ZY":
+                sign_mask |= bit
+        src = idx ^ flip
+        parity = np.array([bin(v).count("1") % 2 for v in src & sign_mask])
+        phase = term.coefficient * (1j ** term.letters.count("Y")) * (1.0 - 2.0 * parity)
+        out += phase * np.asarray(amplitudes)[..., src]
+    return out
+
+
+def sylvester_hadamard(n: int) -> np.ndarray:
+    """Unnormalized H^{(x)n} as an explicit Kronecker product."""
+    return kron_all([np.array([[1.0, 1.0], [1.0, -1.0]])] * n)

@@ -116,8 +116,10 @@ def test_diagnose_theta_file_errors(tmp_path, capsys):
     config = write_config(tmp_path, TINY)
     bad = tmp_path / "theta.txt"
     bad.write_text("0.1 0.2\n")
-    assert main(["diagnose", "--config", config, "--theta", str(bad)]) == 2
+    out = tmp_path / "diag"
+    assert main(["diagnose", "--config", config, "--theta", str(bad), "--out", str(out)]) == 2
     assert "expected 4 values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_cli(tmp_path):

@@ -13,9 +13,10 @@ from hive_vqe.hamiltonian import (
     TfimSpec,
     build_tfim,
     exact_ground_energy,
+    walsh_hadamard,
 )
 
-from _oracles import dense_tfim
+from _oracles import dense_tfim, gather_apply, sylvester_hadamard
 
 
 def test_boundary_parse_and_coupling_count():
@@ -66,6 +67,8 @@ def test_apply_matches_dense_matvec():
         for _ in range(4):
             vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             np.testing.assert_allclose(op.apply(vec), dense @ vec, atol=1e-12)
+            np.testing.assert_allclose(op.apply(vec), gather_apply(op, vec), atol=1e-12)
+            assert op.expectation(vec) == pytest.approx((vec.conj() @ dense @ vec).real, abs=1e-11)
 
 
 def test_apply_batched_rows():
@@ -89,11 +92,33 @@ def test_build_tfim_term_counts_and_coefficients():
 
 
 def test_build_tfim_matches_dense_reference():
+    # n = 2 closed counts its one bond twice (ZZ coefficient -2); h = 0 leaves
+    # no field strings, so nothing is diagonal in the Hadamard basis.
+    rng = np.random.default_rng(14)
     for boundary in (Boundary.OPEN, Boundary.CLOSED):
-        for n in (2, 3, 4):
-            ours = build_tfim(TfimSpec(n=n, h=1.1, boundary=boundary)).to_dense()
-            ref = dense_tfim(n, 1.1, boundary)
-            np.testing.assert_allclose(ours, ref, atol=1e-14)
+        for n in (2, 3, 4, 5):
+            for h in (1.1, 0.0, -0.7):
+                op = build_tfim(TfimSpec(n=n, h=h, boundary=boundary))
+                ref = dense_tfim(n, h, boundary)
+                np.testing.assert_allclose(op.to_dense(), ref, atol=1e-14)
+                batch = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+                np.testing.assert_allclose(op.apply(batch), batch @ ref.T, atol=1e-12)
+                np.testing.assert_allclose(
+                    op.expectation(batch),
+                    np.einsum("bi,ij,bj->b", batch.conj(), ref, batch).real,
+                    atol=1e-12,
+                )
+
+
+def test_walsh_hadamard_matches_kronecker_product():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 3, 4, 5, 7):
+        ref = sylvester_hadamard(n)
+        batch = rng.normal(size=(2, 3, 2**n)) + 1j * rng.normal(size=(2, 3, 2**n))
+        np.testing.assert_allclose(walsh_hadamard(batch), batch @ ref, atol=1e-12)
+        np.testing.assert_allclose(walsh_hadamard(batch[0, 0]), ref @ batch[0, 0], atol=1e-12)
+    with pytest.raises(ValueError, match="2\\*\\*n"):
+        walsh_hadamard(np.ones(6))
 
 
 def test_ground_energy_two_site_closed_form():

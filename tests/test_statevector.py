@@ -20,7 +20,7 @@ from hive_vqe.statevector import (
     renormalization_count,
 )
 
-from _oracles import dense_coupling_sum, dense_field_sum, plus_vec
+from _oracles import butterfly_x_layer, dense_coupling_sum, dense_field_sum, plus_vec
 
 
 def random_state(rng, n):
@@ -60,8 +60,9 @@ def test_zz_layer_matches_dense_exponential():
 
 
 def test_x_layer_matches_dense_exponential():
+    # Odd n splits the Walsh-Hadamard transform into unequal factors.
     rng = np.random.default_rng(8)
-    for n in (2, 3, 5):
+    for n in (2, 3, 4, 5, 7):
         generator = dense_field_sum(n)
         for _ in range(3):
             angle = float(rng.uniform(-np.pi, np.pi))
@@ -86,6 +87,13 @@ def test_layers_broadcast_over_batches():
         np.testing.assert_allclose(
             x_rows[k], apply_x_layer(batch[k], float(angles[k]), n), atol=1e-13
         )
+    # Beyond the reach of expm, against the per-qubit rotation reference.
+    for n in (9, 10, 11, 12):
+        angles = rng.uniform(-np.pi, np.pi, size=3)
+        batch = np.stack([random_state(rng, n) for _ in range(3)])
+        np.testing.assert_allclose(
+            apply_x_layer(batch, angles, n), butterfly_x_layer(batch, angles, n), atol=1e-13
+        )
 
 
 def test_layers_preserve_norm():
@@ -100,12 +108,14 @@ def test_layers_preserve_norm():
 
 def test_generator_actions_match_dense():
     rng = np.random.default_rng(12)
-    n = 4
-    vec = random_state(rng, n)
-    for boundary in (Boundary.OPEN, Boundary.CLOSED):
-        ref = dense_coupling_sum(n, boundary) @ vec
-        np.testing.assert_allclose(apply_coupling_generator(vec, n, boundary), ref, atol=1e-13)
-    np.testing.assert_allclose(apply_field_generator(vec, n), dense_field_sum(n) @ vec, atol=1e-13)
+    for n in (3, 4, 5, 7):
+        vec = random_state(rng, n)
+        for boundary in (Boundary.OPEN, Boundary.CLOSED):
+            ref = dense_coupling_sum(n, boundary) @ vec
+            np.testing.assert_allclose(apply_coupling_generator(vec, n, boundary), ref, atol=1e-13)
+        np.testing.assert_allclose(
+            apply_field_generator(vec, n), dense_field_sum(n) @ vec, atol=1e-13
+        )
 
 
 def test_ensure_normalized_counts_repairs():
