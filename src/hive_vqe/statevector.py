@@ -4,11 +4,15 @@ Each circuit generator is diagonal in a known basis, so no matrix
 exponential is ever formed.  The coupling sum ``sum Z_i Z_{i+1}`` is diagonal
 in the computational basis: its layer multiplies each amplitude by a phase
 drawn from a precomputed integer table of summed bond eigenvalues.  The field
-sum ``sum X_i`` is diagonal in the Hadamard basis with eigenvalue
-``n - 2 * popcount(b)``: its layer is a Walsh-Hadamard transform, one phase
-multiply and a second transform.  Phases are computed once per distinct
-eigenvalue and gathered.  Every kernel accepts leading batch axes (one
-parameter row per batch row), which is what makes population-based
+sum ``sum X_i`` is diagonal in the Hadamard basis, and both that basis and
+the diagonal split over the first ``k = n // 2`` qubits and the rest.  So the
+transform, phase and transform of the field layer fold into one small matrix
+per half, ``exp(-i a sum X) = R^(x)k (x) R^(x)(n-k)`` with
+``R = exp(-i a X)``, and the layer is two complex matrix products on a
+``(2**k, 2**(n-k))`` view of the amplitudes.  An entry of ``R^(x)k`` depends
+only on the Hamming distance of its indices, so the ``k + 1`` distinct
+values are computed and gathered.  Every kernel accepts leading batch axes
+(one parameter row per batch row), which is what makes population-based
 optimization cheap.
 """
 
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hive_vqe.hamiltonian import Boundary, PauliSum, walsh_hadamard
+from hive_vqe.hamiltonian import Boundary, PauliSum
 
 MIN_QUBITS = 2
 MAX_QUBITS = 12
@@ -106,15 +110,34 @@ def apply_zz_layer(amplitudes: np.ndarray, angle, n: int, boundary: Boundary) ->
 
 
 @functools.lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    """Number of one bits of every basis index, the Hadamard-basis label of ``sum X_i``."""
+def _hamming(k: int) -> np.ndarray:
+    """Hamming distance ``popcount(r ^ c)`` of every pair of k-bit indices."""
+    idx = np.arange(1 << k)
+    flips = idx[:, None] ^ idx[None, :]
+    distance = np.zeros_like(flips)
+    for q in range(k):
+        distance += (flips >> q) & 1
+    distance.flags.writeable = False
+    return distance
+
+
+def _half_sizes(n: int) -> tuple[int, int]:
     _check_qubit_count(n)
-    idx = np.arange(1 << n)
-    counts = np.zeros(1 << n, dtype=np.intp)
-    for q in range(n):
-        counts += (idx >> q) & 1
-    counts.flags.writeable = False
-    return counts
+    return n // 2, n - n // 2
+
+
+def _rotation_power(angle, k: int) -> np.ndarray:
+    """``exp(-i * angle * sum X_i)`` on k qubits, with the leading axes of ``angle``.
+
+    Entry ``[r, c]`` is ``cos**(k - d) * (-i sin)**d`` for ``d = popcount(r ^ c)``.
+    """
+    angle = np.asarray(angle, dtype=np.float64)[..., None]
+    factors = np.empty(angle.shape[:-1] + (2, k + 1), dtype=np.complex128)
+    factors[..., 0, :] = np.cos(angle)
+    factors[..., 1, :] = -1j * np.sin(angle)
+    factors[..., 0] = 1.0
+    powers = np.cumprod(factors, axis=-1)  # cos**d and (-i sin)**d for d = 0..k
+    return (powers[..., 0, ::-1] * powers[..., 1, :])[..., _hamming(k)]
 
 
 def apply_x_layer(amplitudes: np.ndarray, angle, n: int) -> np.ndarray:
@@ -122,10 +145,21 @@ def apply_x_layer(amplitudes: np.ndarray, angle, n: int) -> np.ndarray:
 
     ``angle`` may be a scalar or carry the batch shape of the leading axes.
     """
-    eigenvalues = n - 2.0 * np.arange(n + 1)
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(angle, dtype=np.float64), eigenvalues))
-    phases *= 2.0**-n
-    return walsh_hadamard(walsh_hadamard(amplitudes) * phases[..., _popcounts(n)])
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    k, m = _half_sizes(n)
+    grid = amplitudes.reshape(amplitudes.shape[:-1] + (1 << k, 1 << m))
+    left = _rotation_power(angle, k)
+    right = left if m == k else _rotation_power(angle, m)
+    out = left @ grid @ right
+    return out.reshape(out.shape[:-2] + (1 << n,))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_sum(k: int) -> np.ndarray:
+    """``sum X_i`` on k qubits: ones where the indices differ in exactly one bit."""
+    matrix = (_hamming(k) == 1).astype(np.complex128)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def apply_coupling_generator(amplitudes: np.ndarray, n: int, boundary: Boundary) -> np.ndarray:
@@ -135,9 +169,16 @@ def apply_coupling_generator(amplitudes: np.ndarray, n: int, boundary: Boundary)
 
 
 def apply_field_generator(amplitudes: np.ndarray, n: int) -> np.ndarray:
-    """Action of the field sum ``sum X_i`` (diagonal in the Hadamard basis)."""
-    eigenvalues = (n - 2.0 * np.arange(n + 1)) * 2.0**-n
-    return walsh_hadamard(walsh_hadamard(amplitudes) * eigenvalues[_popcounts(n)])
+    """Action of the field sum ``sum X_i``, split as ``S_k (x) 1 + 1 (x) S_(n-k)``.
+
+    ``S_k`` is the field sum on the k qubits of one half of the register.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    k, m = _half_sizes(n)
+    grid = amplitudes.reshape(amplitudes.shape[:-1] + (1 << k, 1 << m))
+    out = _field_sum(k) @ grid
+    out += grid @ _field_sum(m)
+    return out.reshape(amplitudes.shape)
 
 
 def ensure_normalized(amplitudes: np.ndarray) -> np.ndarray:

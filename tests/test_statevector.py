@@ -60,7 +60,7 @@ def test_zz_layer_matches_dense_exponential():
 
 
 def test_x_layer_matches_dense_exponential():
-    # Odd n splits the Walsh-Hadamard transform into unequal factors.
+    # Odd n splits the register into halves of unequal size.
     rng = np.random.default_rng(8)
     for n in (2, 3, 4, 5, 7):
         generator = dense_field_sum(n)
@@ -79,6 +79,9 @@ def test_layers_broadcast_over_batches():
     batch = np.stack([random_state(rng, n) for _ in range(5)])
     zz_rows = apply_zz_layer(batch, angles, n, Boundary.CLOSED)
     x_rows = apply_x_layer(batch, angles, n)
+    # One angle shared by every row, and the generator, broadcast too.
+    shared_rows = apply_x_layer(batch, 0.7, n)
+    field_rows = apply_field_generator(batch, n)
     for k in range(5):
         np.testing.assert_allclose(
             zz_rows[k], apply_zz_layer(batch[k], float(angles[k]), n, Boundary.CLOSED),
@@ -87,6 +90,8 @@ def test_layers_broadcast_over_batches():
         np.testing.assert_allclose(
             x_rows[k], apply_x_layer(batch[k], float(angles[k]), n), atol=1e-13
         )
+        np.testing.assert_allclose(shared_rows[k], apply_x_layer(batch[k], 0.7, n), atol=1e-13)
+        np.testing.assert_allclose(field_rows[k], dense_field_sum(n) @ batch[k], atol=1e-13)
     # Beyond the reach of expm, against the per-qubit rotation reference.
     for n in (9, 10, 11, 12):
         angles = rng.uniform(-np.pi, np.pi, size=3)
