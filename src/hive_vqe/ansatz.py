@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hive_vqe.hamiltonian import Boundary, PauliSum
+from hive_vqe.hamiltonian import Boundary, PauliSum, check_qubit_count
 from hive_vqe.statevector import (
+    LayerBuffers,
     StateVector,
     apply_coupling_generator,
     apply_field_generator,
@@ -27,7 +28,6 @@ from hive_vqe.statevector import (
     apply_zz_layer,
     ensure_normalized,
     plus_state,
-    _check_qubit_count,
 )
 
 
@@ -40,7 +40,7 @@ class HvaCircuit:
     boundary: Boundary = Boundary.CLOSED
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.n)
+        check_qubit_count(self.n)
         if self.layers < 1:
             raise ValueError(f"need at least one layer, got {self.layers}")
 
@@ -60,10 +60,13 @@ def _check_theta(circuit: HvaCircuit, theta) -> np.ndarray:
     return theta
 
 
-def _apply_factor(circuit: HvaCircuit, index: int, angle, amplitudes: np.ndarray) -> np.ndarray:
+def _apply_factor(
+    circuit: HvaCircuit, index: int, angle, amplitudes: np.ndarray,
+    buffers: LayerBuffers | None = None,
+) -> np.ndarray:
     if index % 2 == 0:
-        return apply_zz_layer(amplitudes, angle, circuit.n, circuit.boundary)
-    return apply_x_layer(amplitudes, angle, circuit.n)
+        return apply_zz_layer(amplitudes, angle, circuit.n, circuit.boundary, buffers)
+    return apply_x_layer(amplitudes, angle, circuit.n, buffers)
 
 
 def _apply_generator(circuit: HvaCircuit, index: int, amplitudes: np.ndarray) -> np.ndarray:
@@ -89,7 +92,11 @@ def prepare_state(circuit: HvaCircuit, theta) -> StateVector:
 
 
 def prepare_amplitudes(circuit: HvaCircuit, thetas: np.ndarray) -> np.ndarray:
-    """Batched trial-state amplitudes, one parameter row per output row."""
+    """Batched trial-state amplitudes, one parameter row per output row.
+
+    The layers update one freshly allocated batch in place, so the sweep
+    allocates its batch-sized arrays once per call, not once per layer.
+    """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or thetas.shape[1] != circuit.n_params:
         raise ValueError(
@@ -99,8 +106,9 @@ def prepare_amplitudes(circuit: HvaCircuit, thetas: np.ndarray) -> np.ndarray:
         raise ValueError("parameters must be finite")
     dim = 1 << circuit.n
     amps = np.full((thetas.shape[0], dim), 2.0 ** (-circuit.n / 2.0), dtype=np.complex128)
+    buffers = LayerBuffers(amps.shape, amps.shape[:-1], circuit.n)
     for j in range(circuit.n_params):
-        amps = _apply_factor(circuit, j, thetas[:, j], amps)
+        _apply_factor(circuit, j, thetas[:, j], amps, buffers)
     return ensure_normalized(amps)
 
 
@@ -150,7 +158,8 @@ def energy_and_gradient(
     The backward pass keeps two vectors: the partially undone circuit state
     and the Hamiltonian image propagated through the inverse factors.  Each
     gradient entry is ``2 Re <d_j psi | H | psi>`` evaluated without ever
-    forming the derivative states.
+    forming the derivative states.  The two vectors are stacked as one pair,
+    so each inverse factor is one in-place kernel call.
     """
     theta = _check_theta(circuit, theta)
     if hamiltonian.n != circuit.n:
@@ -161,11 +170,12 @@ def energy_and_gradient(
     lam = hamiltonian.apply(psi)
     energy = float(np.vdot(psi, lam).real)
     grad = np.empty(circuit.n_params, dtype=np.float64)
-    ket = psi
+    pair = np.stack([psi, lam])
+    ket, lam = pair
+    buffers = LayerBuffers(pair.shape, (), circuit.n)
     for j in reversed(range(circuit.n_params)):
         grad[j] = -2.0 * float(np.vdot(ket, _apply_generator(circuit, j, lam)).imag)
-        ket = _apply_factor(circuit, j, -float(theta[j]), ket)
-        lam = _apply_factor(circuit, j, -float(theta[j]), lam)
+        _apply_factor(circuit, j, -float(theta[j]), pair, buffers)
     return energy, grad
 
 

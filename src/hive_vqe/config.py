@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hive_vqe.hamiltonian import Boundary
+from hive_vqe.hamiltonian import MAX_QUBITS, MIN_QUBITS, Boundary
 from hive_vqe.optimizers import AdamConfig, BoaConfig
 
 SCHEMA_VERSION = 1
@@ -48,8 +48,8 @@ class ExperimentConfig:
     sweep_seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
 
     def __post_init__(self) -> None:
-        if not 2 <= self.qubits <= 12:
-            raise ConfigError(f"qubits: expected 2..12, got {self.qubits}")
+        if not MIN_QUBITS <= self.qubits <= MAX_QUBITS:
+            raise ConfigError(f"qubits: expected {MIN_QUBITS}..{MAX_QUBITS}, got {self.qubits}")
         if self.depth < 1:
             raise ConfigError(f"depth: expected a positive integer, got {self.depth}")
         if not np.isfinite(self.h):
@@ -73,7 +73,7 @@ class ExperimentConfig:
         if not self.sweep_grid:
             raise ConfigError("sweep.grid: expected at least one qubits:depth cell")
         for n, depth in self.sweep_grid:
-            if not 2 <= n <= 12 or depth < 1:
+            if not MIN_QUBITS <= n <= MAX_QUBITS or depth < 1:
                 raise ConfigError(f"sweep.grid: invalid cell {n}:{depth}")
         if not self.sweep_optimizers:
             raise ConfigError("sweep.optimizers: expected at least one optimizer")

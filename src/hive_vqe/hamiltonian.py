@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_DENSE_QUBITS = 12
+# Chain lengths the package simulates: the statevector engine, the dense
+# materializations and the ground-energy oracle share this range.
+MIN_QUBITS = 2
+MAX_QUBITS = 12
 
 _PAULI = {
     "I": np.eye(2, dtype=np.complex128),
@@ -32,11 +35,15 @@ _PAULI = {
 }
 
 
+def check_qubit_count(n: int) -> None:
+    """Reject a chain length outside ``MIN_QUBITS..MAX_QUBITS``."""
+    if not MIN_QUBITS <= n <= MAX_QUBITS:
+        raise ValueError(f"chains are limited to {MIN_QUBITS}..{MAX_QUBITS} qubits, got n={n}")
+
+
 def _check_dense_size(n: int) -> None:
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"dense materialization is limited to {MAX_DENSE_QUBITS} qubits, got n={n}"
-        )
+    if n > MAX_QUBITS:
+        raise ValueError(f"dense materialization is limited to {MAX_QUBITS} qubits, got n={n}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,6 +291,23 @@ def build_tfim(spec: TfimSpec) -> PauliSum:
 
 @functools.lru_cache(maxsize=None)
 def exact_ground_energy(spec: TfimSpec) -> float:
-    """Smallest eigenvalue of the dense chain Hamiltonian (n <= 12)."""
-    dense = build_tfim(spec).to_dense()
-    return float(np.linalg.eigvalsh(dense)[0])
+    """Exact ground energy of the chain from its free-fermion solution.
+
+    A Jordan-Wigner transformation maps the chain to free fermions (Pfeuty,
+    Ann. Phys. 57, 79 (1970)), and the ground energy is minus half the sum
+    of the single-particle energies.  The sign of ``h`` is a basis change,
+    so only ``|h|`` enters.  Closed chain: the ground state lies in the
+    even-parity sector, whose momenta are ``k = (2m + 1) pi / n``, giving
+    ``-sum_m sqrt(1 + h**2 - 2 |h| cos k)``.  Open chain: the single-particle
+    energies are twice the singular values of the n x n bidiagonal matrix
+    with ``|h|`` on the diagonal and 1 above it.  The cost is O(n) closed and
+    O(n**3) open, against O(8**n) for diagonalizing the dense matrix, which
+    the tests keep as the cross-check.
+    """
+    check_qubit_count(spec.n)
+    field = abs(spec.h)
+    if spec.boundary is Boundary.CLOSED:
+        momenta = (2 * np.arange(spec.n) + 1) * np.pi / spec.n
+        return -float(np.sum(np.sqrt(1.0 + field**2 - 2.0 * field * np.cos(momenta))))
+    bidiagonal = np.diag(np.full(spec.n, field)) + np.diag(np.ones(spec.n - 1), 1)
+    return -float(np.sum(np.linalg.svd(bidiagonal, compute_uv=False)))

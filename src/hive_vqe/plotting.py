@@ -8,10 +8,9 @@ artifact opens in any browser without plotting libraries installed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from xml.sax.saxutils import escape
-
+import html
 import math
+from dataclasses import dataclass
 
 from hive_vqe.optimizers import TraceRecord
 
@@ -106,7 +105,7 @@ def render_convergence_svg(
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">'
-        f"{escape(title)}</text>",
+        f"{html.escape(title, quote=False)}</text>",
     ]
 
     for decade in range(decade_lo, decade_hi + 1):
@@ -164,7 +163,8 @@ def render_convergence_svg(
             f'<line x1="{legend_x}" y1="{y - 4}" x2="{legend_x + 22}" y2="{y - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{legend_x + 28}" y="{y}">{escape(series.label)}</text>')
+        label = html.escape(series.label, quote=False)
+        parts.append(f'<text x="{legend_x + 28}" y="{y}">{label}</text>')
 
     parts.append(
         f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 10}" '

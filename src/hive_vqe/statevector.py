@@ -13,7 +13,9 @@ per half, ``exp(-i a sum X) = R^(x)k (x) R^(x)(n-k)`` with
 only on the Hamming distance of its indices, so the ``k + 1`` distinct
 values are computed and gathered.  Every kernel accepts leading batch axes
 (one parameter row per batch row), which is what makes population-based
-optimization cheap.
+optimization cheap.  Given ``LayerBuffers``, the two layer kernels update
+the amplitudes in place and allocate nothing of the batch's size, so a
+sweep over many layers reuses the same few arrays.
 """
 
 from __future__ import annotations
@@ -23,21 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hive_vqe.hamiltonian import Boundary, PauliSum
-
-MIN_QUBITS = 2
-MAX_QUBITS = 12
+from hive_vqe.hamiltonian import Boundary, PauliSum, check_qubit_count
 
 NORM_DRIFT_TOLERANCE = 1e-8
 
 _renormalizations = 0
-
-
-def _check_qubit_count(n: int) -> None:
-    if not MIN_QUBITS <= n <= MAX_QUBITS:
-        raise ValueError(
-            f"dense simulation supports {MIN_QUBITS} <= n <= {MAX_QUBITS}, got n={n}"
-        )
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.n)
+        check_qubit_count(self.n)
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         if amps.shape != (1 << self.n,):
             raise ValueError(
@@ -71,7 +63,7 @@ class StateVector:
 
 def plus_state(n: int) -> StateVector:
     """Uniform superposition, the shared circuit input."""
-    _check_qubit_count(n)
+    check_qubit_count(n)
     return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128))
 
 
@@ -83,7 +75,7 @@ def _zz_structure(n: int, boundary: Boundary) -> tuple[np.ndarray, np.ndarray, n
     of ``z_i z_{i+1}`` over all bonds for basis state ``b`` and
     ``k_values[gather_index] == table``.
     """
-    _check_qubit_count(n)
+    check_qubit_count(n)
     idx = np.arange(1 << n)
     bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
     z = 1 - 2 * bits
@@ -98,15 +90,43 @@ def _zz_structure(n: int, boundary: Boundary) -> tuple[np.ndarray, np.ndarray, n
     return table, table - table.min(), k_values
 
 
-def apply_zz_layer(amplitudes: np.ndarray, angle, n: int, boundary: Boundary) -> np.ndarray:
+class LayerBuffers:
+    """Arrays that let the layer kernels update a batch of amplitudes in place.
+
+    ``shape`` is that of the amplitudes and ``angle_shape`` that of the layer
+    angle: the batch shape for one angle per row, or ``()`` for one angle
+    shared by every row.  ``scratch`` holds the field layer's intermediate
+    product, and its leading rows receive the coupling layer's gathered
+    phases (``phases``, one row per angle).  ``left`` and ``right`` hold the
+    rotation powers of the two register halves, one per angle; they are one
+    array when the halves are equal.
+    """
+
+    def __init__(self, shape: tuple[int, ...], angle_shape: tuple[int, ...], n: int) -> None:
+        k, m = _half_sizes(n)
+        self.scratch = np.empty(shape, dtype=np.complex128)
+        self.phases = self.scratch[(0,) * (len(shape) - 1 - len(angle_shape))]
+        self.left = np.empty(angle_shape + (1 << k, 1 << k), dtype=np.complex128)
+        self.right = (
+            self.left if m == k else np.empty(angle_shape + (1 << m, 1 << m), dtype=np.complex128)
+        )
+
+
+def apply_zz_layer(
+    amplitudes: np.ndarray, angle, n: int, boundary: Boundary, buffers: LayerBuffers | None = None
+) -> np.ndarray:
     """Phase kernel exp(-i * angle * sum_bonds Z Z) on the last axis.
 
     ``angle`` may be a scalar or carry the batch shape of the leading axes.
+    With ``buffers`` the result overwrites ``amplitudes``, which is returned.
     """
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
     _, gather, k_values = _zz_structure(n, boundary)
     phases = np.exp(-1j * np.multiply.outer(np.asarray(angle, dtype=np.float64), k_values))
-    return amplitudes * phases[..., gather]
+    if buffers is None:
+        return amplitudes * phases[..., gather]
+    np.take(phases, gather, axis=-1, out=buffers.phases, mode="clip")
+    return np.multiply(amplitudes, buffers.phases, out=amplitudes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,14 +142,15 @@ def _hamming(k: int) -> np.ndarray:
 
 
 def _half_sizes(n: int) -> tuple[int, int]:
-    _check_qubit_count(n)
+    check_qubit_count(n)
     return n // 2, n - n // 2
 
 
-def _rotation_power(angle, k: int) -> np.ndarray:
+def _rotation_power(angle, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """``exp(-i * angle * sum X_i)`` on k qubits, with the leading axes of ``angle``.
 
     Entry ``[r, c]`` is ``cos**(k - d) * (-i sin)**d`` for ``d = popcount(r ^ c)``.
+    The matrices are written into ``out`` when it is given.
     """
     angle = np.asarray(angle, dtype=np.float64)[..., None]
     factors = np.empty(angle.shape[:-1] + (2, k + 1), dtype=np.complex128)
@@ -137,21 +158,33 @@ def _rotation_power(angle, k: int) -> np.ndarray:
     factors[..., 1, :] = -1j * np.sin(angle)
     factors[..., 0] = 1.0
     powers = np.cumprod(factors, axis=-1)  # cos**d and (-i sin)**d for d = 0..k
-    return (powers[..., 0, ::-1] * powers[..., 1, :])[..., _hamming(k)]
+    values = powers[..., 0, ::-1] * powers[..., 1, :]
+    return np.take(values, _hamming(k), axis=-1, out=out, mode="clip")
 
 
-def apply_x_layer(amplitudes: np.ndarray, angle, n: int) -> np.ndarray:
+def apply_x_layer(
+    amplitudes: np.ndarray, angle, n: int, buffers: LayerBuffers | None = None
+) -> np.ndarray:
     """Rotation kernel exp(-i * angle * sum_i X_i) on the last axis.
 
     ``angle`` may be a scalar or carry the batch shape of the leading axes.
+    With ``buffers`` the result overwrites ``amplitudes`` (which must be
+    C-contiguous), and that array is returned.
     """
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
     k, m = _half_sizes(n)
     grid = amplitudes.reshape(amplitudes.shape[:-1] + (1 << k, 1 << m))
-    left = _rotation_power(angle, k)
-    right = left if m == k else _rotation_power(angle, m)
-    out = left @ grid @ right
-    return out.reshape(out.shape[:-2] + (1 << n,))
+    if buffers is None:
+        left = _rotation_power(angle, k)
+        right = left if m == k else _rotation_power(angle, m)
+        out = left @ grid @ right
+        return out.reshape(out.shape[:-2] + (1 << n,))
+    left = _rotation_power(angle, k, out=buffers.left)
+    right = left if m == k else _rotation_power(angle, m, out=buffers.right)
+    half = buffers.scratch.reshape(grid.shape)
+    np.matmul(left, grid, out=half)
+    np.matmul(half, right, out=grid)
+    return amplitudes
 
 
 @functools.lru_cache(maxsize=None)

@@ -32,7 +32,8 @@ def dense_coupling_sum(n: int, boundary: Boundary) -> np.ndarray:
     total = np.zeros((2**n, 2**n), dtype=np.complex128)
     bonds = boundary.coupling_count(n)
     for i in range(bonds):
-        total += site_op(n, i, PAULI_Z) @ site_op(n, (i + 1) % n, PAULI_Z)
+        pair = (i, (i + 1) % n)
+        total += kron_all([PAULI_Z if q in pair else I2 for q in range(n)])
     return total
 
 

@@ -70,15 +70,23 @@ def test_apply_circuit_on_arbitrary_state():
 
 
 def test_prepare_amplitudes_batches_rows():
+    # The layers run in place on buffers each call allocates afresh.  Odd n
+    # has register halves of different sizes, so two rotation buffers.
     rng = np.random.default_rng(23)
-    circuit = HvaCircuit(n=4, layers=3, boundary=Boundary.CLOSED)
-    thetas = rng.uniform(-np.pi, np.pi, size=(6, circuit.n_params))
-    rows = prepare_amplitudes(circuit, thetas)
-    assert rows.shape == (6, 16)
-    for k in range(6):
-        np.testing.assert_allclose(
-            rows[k], prepare_state(circuit, thetas[k]).amplitudes, atol=1e-13
-        )
+    for n, layers, boundary in ((4, 3, Boundary.CLOSED), (5, 2, Boundary.OPEN)):
+        circuit = HvaCircuit(n=n, layers=layers, boundary=boundary)
+        thetas = rng.uniform(-np.pi, np.pi, size=(6, circuit.n_params))
+        kept = thetas.copy()
+        rows = prepare_amplitudes(circuit, thetas)
+        again = prepare_amplitudes(circuit, thetas)
+        assert rows.shape == (6, 2**n)
+        assert not np.shares_memory(rows, again)
+        np.testing.assert_array_equal(rows, again)
+        np.testing.assert_array_equal(thetas, kept)
+        for k in range(6):
+            np.testing.assert_allclose(
+                rows[k], prepare_state(circuit, thetas[k]).amplitudes, atol=1e-13
+            )
 
 
 def fd_state_derivative(circuit, theta, index, step=1e-6):
@@ -138,9 +146,9 @@ def fd_gradient(circuit, theta, hamiltonian, step=1e-6):
 
 def test_adjoint_gradient_matches_finite_difference():
     rng = np.random.default_rng(26)
-    for boundary in (Boundary.OPEN, Boundary.CLOSED):
-        circuit = HvaCircuit(n=4, layers=3, boundary=boundary)
-        hamiltonian = build_tfim(TfimSpec(n=4, h=1.1, boundary=boundary))
+    for boundary, n in ((Boundary.OPEN, 4), (Boundary.CLOSED, 4), (Boundary.CLOSED, 5)):
+        circuit = HvaCircuit(n=n, layers=3, boundary=boundary)
+        hamiltonian = build_tfim(TfimSpec(n=n, h=1.1, boundary=boundary))
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circuit.n_params)
             energy, grad = energy_and_gradient(circuit, theta, hamiltonian)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hive_vqe.hamiltonian import (
-    MAX_DENSE_QUBITS,
+    MAX_QUBITS,
     Boundary,
     PauliString,
     PauliSum,
@@ -138,14 +138,42 @@ def test_ground_energy_zero_field_is_bond_count():
 
 
 def test_ground_energy_matches_dense_eigensolver():
+    # The free-fermion closed form against diagonalizing the dense matrix,
+    # across the critical point h = 1, a negative field and zero field.
     for boundary in (Boundary.OPEN, Boundary.CLOSED):
-        value = exact_ground_energy(TfimSpec(n=5, h=1.1, boundary=boundary))
-        ref = np.linalg.eigvalsh(dense_tfim(5, 1.1, boundary))[0]
-        assert value == pytest.approx(float(ref), abs=1e-12)
+        for n in range(2, 11):
+            for h in (0.0, 0.3, 1.0, 1.1, -0.7, 2.5):
+                value = exact_ground_energy(TfimSpec(n=n, h=h, boundary=boundary))
+                ref = np.linalg.eigvalsh(dense_tfim(n, h, boundary))[0]
+                assert value == pytest.approx(float(ref), abs=1e-12), (n, h, boundary)
+
+
+@pytest.mark.parametrize(
+    "n, h, boundary, dense_value",
+    [
+        # Smallest eigenvalues of the dense matrices from numpy's eigvalsh.
+        (11, 1.1, Boundary.CLOSED, -14.803602963599271),
+        (12, 1.1, Boundary.CLOSED, -16.142048984858974),
+        (11, 1.1, Boundary.OPEN, -14.484399831280719),
+        (12, 1.1, Boundary.OPEN, -15.827165077269324),
+        (11, -0.7, Boundary.CLOSED, -12.39772919796425),
+        (12, -0.7, Boundary.CLOSED, -13.523686903200282),
+        (11, -0.7, Boundary.OPEN, -11.668652308236664),
+        (12, -0.7, Boundary.OPEN, -12.7926160298358),
+    ],
+)
+def test_ground_energy_matches_recorded_dense_values(n, h, boundary, dense_value):
+    value = exact_ground_energy(TfimSpec(n=n, h=h, boundary=boundary))
+    assert value == pytest.approx(dense_value, abs=1e-12)
+
+
+def test_ground_energy_qubit_cap():
+    with pytest.raises(ValueError, match="12 qubits"):
+        exact_ground_energy(TfimSpec(n=MAX_QUBITS + 1, h=1.0, boundary=Boundary.CLOSED))
 
 
 def test_dense_size_guard():
-    op = build_tfim(TfimSpec(n=MAX_DENSE_QUBITS + 1, h=1.0, boundary=Boundary.OPEN))
+    op = build_tfim(TfimSpec(n=MAX_QUBITS + 1, h=1.0, boundary=Boundary.OPEN))
     with pytest.raises(ValueError, match="12 qubits"):
         op.to_dense()
 

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from hive_vqe.hamiltonian import Boundary, TfimSpec, build_tfim
 from hive_vqe.statevector import (
+    LayerBuffers,
     StateVector,
     apply_coupling_generator,
     apply_field_generator,
@@ -92,6 +93,20 @@ def test_layers_broadcast_over_batches():
         )
         np.testing.assert_allclose(shared_rows[k], apply_x_layer(batch[k], 0.7, n), atol=1e-13)
         np.testing.assert_allclose(field_rows[k], dense_field_sum(n) @ batch[k], atol=1e-13)
+    # In place on preallocated buffers, per-row and shared angles, both
+    # register splits: the same arithmetic, so the same bits.
+    for n in (4, 5):
+        angles = rng.uniform(-1, 1, size=5)
+        batch = np.stack([random_state(rng, n) for _ in range(5)])
+        for angle in (angles, 0.7):
+            buffers = LayerBuffers(batch.shape, np.shape(angle), n)
+            work = batch.copy()
+            assert apply_zz_layer(work, angle, n, Boundary.OPEN, buffers) is work
+            np.testing.assert_array_equal(work, apply_zz_layer(batch, angle, n, Boundary.OPEN))
+            assert apply_x_layer(work, angle, n, buffers) is work
+            np.testing.assert_array_equal(
+                work, apply_x_layer(apply_zz_layer(batch, angle, n, Boundary.OPEN), angle, n)
+            )
     # Beyond the reach of expm, against the per-qubit rotation reference.
     for n in (9, 10, 11, 12):
         angles = rng.uniform(-np.pi, np.pi, size=3)
