@@ -61,8 +61,7 @@ def _check_theta(circuit: HvaCircuit, theta) -> np.ndarray:
 
 
 def _apply_factor(
-    circuit: HvaCircuit, index: int, angle, amplitudes: np.ndarray,
-    buffers: LayerBuffers | None = None,
+    circuit: HvaCircuit, index: int, angle, amplitudes: np.ndarray, buffers: LayerBuffers
 ) -> np.ndarray:
     if index % 2 == 0:
         return apply_zz_layer(amplitudes, angle, circuit.n, circuit.boundary, buffers)
@@ -80,9 +79,10 @@ def apply_circuit(circuit: HvaCircuit, theta, state: StateVector) -> StateVector
     theta = _check_theta(circuit, theta)
     if state.n != circuit.n:
         raise ValueError(f"state has {state.n} qubits, circuit expects {circuit.n}")
-    amps = state.amplitudes
+    amps = np.array(state.amplitudes)
+    buffers = LayerBuffers(amps.shape, (), circuit.n)
     for j in range(circuit.n_params):
-        amps = _apply_factor(circuit, j, float(theta[j]), amps)
+        amps = _apply_factor(circuit, j, float(theta[j]), amps, buffers)
     return StateVector(circuit.n, ensure_normalized(amps))
 
 
@@ -108,7 +108,7 @@ def prepare_amplitudes(circuit: HvaCircuit, thetas: np.ndarray) -> np.ndarray:
     amps = np.full((thetas.shape[0], dim), 2.0 ** (-circuit.n / 2.0), dtype=np.complex128)
     buffers = LayerBuffers(amps.shape, amps.shape[:-1], circuit.n)
     for j in range(circuit.n_params):
-        _apply_factor(circuit, j, thetas[:, j], amps, buffers)
+        amps = _apply_factor(circuit, j, thetas[:, j], amps, buffers)
     return ensure_normalized(amps)
 
 
@@ -126,9 +126,10 @@ def state_derivative(
     start = plus_state(circuit.n) if initial is None else initial
     if start.n != circuit.n:
         raise ValueError(f"state has {start.n} qubits, circuit expects {circuit.n}")
-    amps = start.amplitudes
+    amps = np.array(start.amplitudes)
+    buffers = LayerBuffers(amps.shape, (), circuit.n)
     for j in range(circuit.n_params):
-        amps = _apply_factor(circuit, j, float(theta[j]), amps)
+        amps = _apply_factor(circuit, j, float(theta[j]), amps, buffers)
         if j == index:
             amps = -1j * _apply_generator(circuit, j, amps)
     return StateVector(circuit.n, amps)
@@ -171,11 +172,11 @@ def energy_and_gradient(
     energy = float(np.vdot(psi, lam).real)
     grad = np.empty(circuit.n_params, dtype=np.float64)
     pair = np.stack([psi, lam])
-    ket, lam = pair
     buffers = LayerBuffers(pair.shape, (), circuit.n)
     for j in reversed(range(circuit.n_params)):
+        ket, lam = pair
         grad[j] = -2.0 * float(np.vdot(ket, _apply_generator(circuit, j, lam)).imag)
-        _apply_factor(circuit, j, -float(theta[j]), pair, buffers)
+        pair = _apply_factor(circuit, j, -float(theta[j]), pair, buffers)
     return energy, grad
 
 

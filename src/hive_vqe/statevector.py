@@ -15,7 +15,8 @@ values are computed and gathered.  Every kernel accepts leading batch axes
 (one parameter row per batch row), which is what makes population-based
 optimization cheap.  Given ``LayerBuffers``, the two layer kernels update
 the amplitudes in place and allocate nothing of the batch's size, so a
-sweep over many layers reuses the same few arrays.
+sweep over many layers reuses the same few arrays; without them, a kernel
+updates a fresh copy and leaves its input as it was.
 """
 
 from __future__ import annotations
@@ -112,6 +113,33 @@ class LayerBuffers:
         )
 
 
+def _layer_target(
+    amplitudes: np.ndarray, angle, n: int, buffers: LayerBuffers | None
+) -> tuple[np.ndarray, LayerBuffers]:
+    """The array a layer kernel overwrites, and the buffers it uses.
+
+    Without ``buffers`` that is a fresh C-ordered copy with buffers of its
+    own.  With them it is ``amplitudes`` itself, which must then be a
+    writeable C-contiguous complex128 array of the buffers' shape: anything
+    else would make the kernel write into a copy and drop the layer.
+    """
+    if buffers is None:
+        amplitudes = np.array(amplitudes, dtype=np.complex128, order="C")
+        return amplitudes, LayerBuffers(amplitudes.shape, np.shape(angle), n)
+    if not (
+        isinstance(amplitudes, np.ndarray)
+        and amplitudes.dtype == np.complex128
+        and amplitudes.flags.c_contiguous
+        and amplitudes.flags.writeable
+        and amplitudes.shape == buffers.scratch.shape
+    ):
+        raise ValueError(
+            "in-place layers need a writeable C-contiguous complex128 array of shape "
+            f"{buffers.scratch.shape}"
+        )
+    return amplitudes, buffers
+
+
 def apply_zz_layer(
     amplitudes: np.ndarray, angle, n: int, boundary: Boundary, buffers: LayerBuffers | None = None
 ) -> np.ndarray:
@@ -120,11 +148,9 @@ def apply_zz_layer(
     ``angle`` may be a scalar or carry the batch shape of the leading axes.
     With ``buffers`` the result overwrites ``amplitudes``, which is returned.
     """
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    amplitudes, buffers = _layer_target(amplitudes, angle, n, buffers)
     _, gather, k_values = _zz_structure(n, boundary)
     phases = np.exp(-1j * np.multiply.outer(np.asarray(angle, dtype=np.float64), k_values))
-    if buffers is None:
-        return amplitudes * phases[..., gather]
     np.take(phases, gather, axis=-1, out=buffers.phases, mode="clip")
     return np.multiply(amplitudes, buffers.phases, out=amplitudes)
 
@@ -146,11 +172,11 @@ def _half_sizes(n: int) -> tuple[int, int]:
     return n // 2, n - n // 2
 
 
-def _rotation_power(angle, k: int, out: np.ndarray | None = None) -> np.ndarray:
+def _rotation_power(angle, k: int, out: np.ndarray) -> np.ndarray:
     """``exp(-i * angle * sum X_i)`` on k qubits, with the leading axes of ``angle``.
 
     Entry ``[r, c]`` is ``cos**(k - d) * (-i sin)**d`` for ``d = popcount(r ^ c)``.
-    The matrices are written into ``out`` when it is given.
+    The matrices are written into ``out``.
     """
     angle = np.asarray(angle, dtype=np.float64)[..., None]
     factors = np.empty(angle.shape[:-1] + (2, k + 1), dtype=np.complex128)
@@ -168,17 +194,11 @@ def apply_x_layer(
     """Rotation kernel exp(-i * angle * sum_i X_i) on the last axis.
 
     ``angle`` may be a scalar or carry the batch shape of the leading axes.
-    With ``buffers`` the result overwrites ``amplitudes`` (which must be
-    C-contiguous), and that array is returned.
+    With ``buffers`` the result overwrites ``amplitudes``, which is returned.
     """
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    amplitudes, buffers = _layer_target(amplitudes, angle, n, buffers)
     k, m = _half_sizes(n)
     grid = amplitudes.reshape(amplitudes.shape[:-1] + (1 << k, 1 << m))
-    if buffers is None:
-        left = _rotation_power(angle, k)
-        right = left if m == k else _rotation_power(angle, m)
-        out = left @ grid @ right
-        return out.reshape(out.shape[:-2] + (1 << n,))
     left = _rotation_power(angle, k, out=buffers.left)
     right = left if m == k else _rotation_power(angle, m, out=buffers.right)
     half = buffers.scratch.reshape(grid.shape)

@@ -93,8 +93,8 @@ def test_layers_broadcast_over_batches():
         )
         np.testing.assert_allclose(shared_rows[k], apply_x_layer(batch[k], 0.7, n), atol=1e-13)
         np.testing.assert_allclose(field_rows[k], dense_field_sum(n) @ batch[k], atol=1e-13)
-    # In place on preallocated buffers, per-row and shared angles, both
-    # register splits: the same arithmetic, so the same bits.
+    # In place on one set of buffers reused across layers, per-row and
+    # shared angles, both register splits: the same bits as fresh copies.
     for n in (4, 5):
         angles = rng.uniform(-1, 1, size=5)
         batch = np.stack([random_state(rng, n) for _ in range(5)])
@@ -114,6 +114,35 @@ def test_layers_broadcast_over_batches():
         np.testing.assert_allclose(
             apply_x_layer(batch, angles, n), butterfly_x_layer(batch, angles, n), atol=1e-13
         )
+
+
+def test_in_place_layers_refuse_arrays_they_cannot_overwrite():
+    rng = np.random.default_rng(11)
+    n = 4
+    batch = np.stack([random_state(rng, n) for _ in range(6)])
+    angles = rng.uniform(-1, 1, size=3)
+    buffers = LayerBuffers((3, 1 << n), angles.shape, n)
+    frozen = batch[:3].copy()
+    frozen.flags.writeable = False
+    # A strided view, a Fortran-ordered copy, another dtype, a read-only
+    # array and a wrong shape would each be copied or rejected by numpy,
+    # so the layer would be lost; the kernels raise instead.
+    for bad in (batch[::2], np.asfortranarray(batch[:3]), batch[:3].astype(np.complex64),
+                frozen, batch[:4]):
+        with pytest.raises(ValueError, match="in-place layers"):
+            apply_zz_layer(bad, angles, n, Boundary.CLOSED, buffers)
+        with pytest.raises(ValueError, match="in-place layers"):
+            apply_x_layer(bad, angles, n, buffers)
+    # Without buffers the same inputs are copied and left untouched.
+    rows = batch[::2].copy()
+    reference = apply_x_layer(
+        apply_zz_layer(rows, angles, n, Boundary.CLOSED, buffers), angles, n, buffers
+    )
+    for source in (batch[::2], np.asfortranarray(batch[::2])):
+        before = source.copy()
+        out = apply_x_layer(apply_zz_layer(source, angles, n, Boundary.CLOSED), angles, n)
+        np.testing.assert_array_equal(out, reference)
+        np.testing.assert_array_equal(source, before)
 
 
 def test_layers_preserve_norm():
