@@ -21,6 +21,7 @@ updates a fresh copy and leaves its input as it was.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -111,6 +112,16 @@ class LayerBuffers:
         self.right = (
             self.left if m == k else np.empty(angle_shape + (1 << m, 1 << m), dtype=np.complex128)
         )
+
+    def leading(self, rows: int) -> LayerBuffers:
+        """These buffers of one shared angle, cut to the first ``rows`` rows.
+
+        The cut shares this memory, so a sweep over a growing block of rows
+        allocates nothing per step.
+        """
+        view = copy.copy(self)
+        view.scratch = self.scratch[:rows]
+        return view
 
 
 def _layer_target(
@@ -238,10 +249,14 @@ def ensure_normalized(amplitudes: np.ndarray) -> np.ndarray:
     """Renormalize rows whose accumulated norm drift exceeds the tolerance.
 
     The layer kernels are exactly norm preserving up to roundoff, so this is
-    a guard rail; every triggered repair is counted for diagnostics.
+    a guard rail; every triggered repair is counted for diagnostics.  Each
+    squared norm is one dot product of the row's interleaved real and
+    imaginary parts with themselves, so a contiguous batch is checked
+    without batch-sized temporaries.
     """
     global _renormalizations
-    norms = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    planes = np.ascontiguousarray(amplitudes, dtype=np.complex128).view(np.float64)
+    norms = (planes[..., None, :] @ planes[..., :, None])[..., 0, 0]
     drifted = np.abs(norms - 1.0) > NORM_DRIFT_TOLERANCE
     if np.any(drifted):
         _renormalizations += int(np.count_nonzero(drifted))

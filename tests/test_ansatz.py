@@ -119,16 +119,26 @@ def test_state_derivative_frozen_values_at_zero():
 
 
 def test_derivative_stack_consistent():
+    # The one-sweep stack against the parameter-by-parameter derivatives,
+    # from the plus state and from a random input; odd n has unequal halves.
     rng = np.random.default_rng(25)
-    circuit = HvaCircuit(n=3, layers=3, boundary=Boundary.OPEN)
-    theta = rng.uniform(-1, 1, circuit.n_params)
-    psi, stack = derivative_stack(circuit, theta)
-    assert stack.shape == (6, 8)
-    np.testing.assert_allclose(psi, prepare_state(circuit, theta).amplitudes, atol=1e-14)
-    for index in range(6):
-        np.testing.assert_allclose(
-            stack[index], state_derivative(circuit, theta, index).amplitudes, atol=1e-13
-        )
+    for n in (3, 4, 7):
+        for boundary in (Boundary.OPEN, Boundary.CLOSED):
+            circuit = HvaCircuit(n=n, layers=3, boundary=boundary)
+            theta = rng.uniform(-1, 1, circuit.n_params)
+            vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            for initial in (None, StateVector(n, vec / np.linalg.norm(vec))):
+                start = plus_state(n) if initial is None else initial
+                psi, stack = derivative_stack(circuit, theta, initial)
+                assert stack.shape == (6, 2**n)
+                np.testing.assert_allclose(
+                    psi, apply_circuit(circuit, theta, start).amplitudes, atol=1e-14
+                )
+                rows = [
+                    state_derivative(circuit, theta, index, initial).amplitudes
+                    for index in range(6)
+                ]
+                np.testing.assert_allclose(stack, np.stack(rows), atol=1e-13)
 
 
 def fd_gradient(circuit, theta, hamiltonian, step=1e-6):
@@ -158,6 +168,29 @@ def test_adjoint_gradient_matches_finite_difference():
             from hive_vqe.loss import vqe_energy
 
             assert energy == pytest.approx(vqe_energy(circuit, theta, hamiltonian), abs=1e-12)
+
+
+def test_adjoint_gradient_matches_derivative_states():
+    # Exact reference 2 Re <d_j psi | H | psi>.  n = 2 splits the register
+    # into one-qubit halves and odd n into unequal ones.  L = 1 is the
+    # shortest sweep: two factors, and the first is never inverted.
+    rng = np.random.default_rng(27)
+    for n in (2, 3, 6, 7):
+        for boundary in (Boundary.OPEN, Boundary.CLOSED):
+            hamiltonian = build_tfim(TfimSpec(n=n, h=1.1, boundary=boundary))
+            dense = hamiltonian.to_dense()
+            for layers in (1, 3):
+                circuit = HvaCircuit(n=n, layers=layers, boundary=boundary)
+                theta = rng.uniform(-np.pi, np.pi, circuit.n_params)
+                psi = prepare_state(circuit, theta).amplitudes
+                image = dense @ psi
+                reference = np.array([
+                    2.0 * np.vdot(state_derivative(circuit, theta, j).amplitudes, image).real
+                    for j in range(circuit.n_params)
+                ])
+                energy, grad = energy_and_gradient(circuit, theta, hamiltonian)
+                assert energy == pytest.approx(np.vdot(psi, image).real, abs=1e-12)
+                assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_gradient_exactly_zero_at_origin():

@@ -41,3 +41,13 @@ def test_quick_start_prints_documented_output(tmp_path, monkeypatch, capsys):
     for argv, expected in sessions:
         assert main(argv) == 0
         assert capsys.readouterr().out.strip() == expected
+
+
+def test_diagnose_example_writes_its_files(tmp_path, monkeypatch):
+    line = "hive-vqe diagnose --config configs/quickstart.cfg --theta zeros --out diagnose"
+    assert any(line in block.splitlines() for block in fenced_blocks("sh"))
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) == 0
+    for name in ("qfim.csv", "hessian.csv", "theta.txt", "spectrum.txt"):
+        assert (tmp_path / "diagnose" / name).is_file()

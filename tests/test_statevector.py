@@ -107,6 +107,10 @@ def test_layers_broadcast_over_batches():
             np.testing.assert_array_equal(
                 work, apply_x_layer(apply_zz_layer(batch, angle, n, Boundary.OPEN), angle, n)
             )
+        # With a shared angle, the leading rows of larger buffers serve too.
+        lead = LayerBuffers((8, 1 << n), (), n).leading(5)
+        rows = apply_zz_layer(batch.copy(), 0.7, n, Boundary.OPEN, lead)
+        np.testing.assert_array_equal(apply_x_layer(rows, 0.7, n, lead), work)
     # Beyond the reach of expm, against the per-qubit rotation reference.
     for n in (9, 10, 11, 12):
         angles = rng.uniform(-np.pi, np.pi, size=3)
@@ -133,6 +137,12 @@ def test_in_place_layers_refuse_arrays_they_cannot_overwrite():
             apply_zz_layer(bad, angles, n, Boundary.CLOSED, buffers)
         with pytest.raises(ValueError, match="in-place layers"):
             apply_x_layer(bad, angles, n, buffers)
+    # So are rows that do not match a leading-rows view of larger buffers.
+    lead = LayerBuffers(batch.shape, (), n).leading(2)
+    with pytest.raises(ValueError, match="in-place layers"):
+        apply_zz_layer(batch[:3].copy(), 0.4, n, Boundary.CLOSED, lead)
+    with pytest.raises(ValueError, match="in-place layers"):
+        apply_x_layer(batch[:3].copy(), 0.4, n, lead)
     # Without buffers the same inputs are copied and left untouched.
     rows = batch[::2].copy()
     reference = apply_x_layer(
@@ -176,6 +186,11 @@ def test_ensure_normalized_counts_repairs():
     repaired = ensure_normalized(drifted)
     assert abs(np.linalg.norm(repaired) - 1.0) < 1e-14
     assert renormalization_count() == before + 1
+    # Row by row over a strided batch: only the drifted row is repaired.
+    rows = ensure_normalized(np.stack([clean, clean, drifted, clean])[::2])
+    np.testing.assert_array_equal(rows[0], clean)
+    np.testing.assert_allclose(rows[1], repaired, atol=1e-16)
+    assert renormalization_count() == before + 2
 
 
 def test_evolve_wrappers_return_states():
