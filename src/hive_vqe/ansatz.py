@@ -16,6 +16,13 @@ P + 1 intermediate states, (P + 1) * 2**n complex amplitudes (3.4 MB at
 n = 12 and P = 52).  The backward pass then carries one vector, the
 Hamiltonian image stepped back through the inverse factors, so a gradient
 costs about two circuit applications instead of one per parameter.
+
+Engines: ``energy_and_gradient`` runs the same adjoint sweep on the momentum
+pair states of ``freefermion`` when the circuit is closed and the operator is
+term for term the closed TFIM.  Everything else here is statevector only:
+the open chain, any other ``PauliSum``, arbitrary input states
+(``apply_circuit``), ``prepare_state``, ``prepare_amplitudes`` and
+``derivative_stack``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hive_vqe import freefermion
 from hive_vqe.hamiltonian import Boundary, PauliSum, check_qubit_count
 from hive_vqe.statevector import (
     LayerBuffers,
@@ -97,12 +105,8 @@ def prepare_state(circuit: HvaCircuit, theta) -> StateVector:
     return apply_circuit(circuit, theta, plus_state(circuit.n))
 
 
-def prepare_amplitudes(circuit: HvaCircuit, thetas: np.ndarray) -> np.ndarray:
-    """Batched trial-state amplitudes, one parameter row per output row.
-
-    The layers update one freshly allocated batch in place, so the sweep
-    allocates its batch-sized arrays once per call, not once per layer.
-    """
+def check_parameter_rows(circuit: HvaCircuit, thetas) -> np.ndarray:
+    """Parameter rows as a finite float array of shape ``(batch, P)``."""
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or thetas.shape[1] != circuit.n_params:
         raise ValueError(
@@ -110,6 +114,16 @@ def prepare_amplitudes(circuit: HvaCircuit, thetas: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(thetas)):
         raise ValueError("parameters must be finite")
+    return thetas
+
+
+def prepare_amplitudes(circuit: HvaCircuit, thetas: np.ndarray) -> np.ndarray:
+    """Batched trial-state amplitudes, one parameter row per output row.
+
+    The layers update one freshly allocated batch in place, so the sweep
+    allocates its batch-sized arrays once per call, not once per layer.
+    """
+    thetas = check_parameter_rows(circuit, thetas)
     dim = 1 << circuit.n
     amps = np.full((thetas.shape[0], dim), 2.0 ** (-circuit.n / 2.0), dtype=np.complex128)
     buffers = LayerBuffers(amps.shape, amps.shape[:-1], circuit.n)
@@ -185,6 +199,9 @@ def energy_and_gradient(
         raise ValueError(
             f"operator acts on {hamiltonian.n} qubits, circuit expects {circuit.n}"
         )
+    spec = freefermion.closed_chain_spec(circuit, hamiltonian)
+    if spec is not None:
+        return freefermion.energy_and_gradient(spec, theta)
     states = np.empty((circuit.n_params + 1, 1 << circuit.n), dtype=np.complex128)
     states[0] = 2.0 ** (-circuit.n / 2.0)
     buffers = LayerBuffers(states.shape[1:], (), circuit.n)

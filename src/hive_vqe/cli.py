@@ -63,13 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="config file path")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", default="runs", help="output directory (default: runs)")
-    run.add_argument("--format", choices=["csv"], default="csv", help="trace format")
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("sweep", help="run the configured grid of experiments")
     sweep.add_argument("--config", required=True, help="config file path")
     sweep.add_argument("--out", default="sweep", help="output directory (default: sweep)")
-    sweep.add_argument("--format", choices=["csv"], default="csv", help="artifact format")
     sweep.set_defaults(func=_cmd_sweep)
 
     diagnose = sub.add_parser("diagnose", help="write curvature and spectrum reports")

@@ -155,6 +155,23 @@ class PauliSum:
                 )
         object.__setattr__(self, "terms", kept)
 
+    @functools.cached_property
+    def tfim_spec(self) -> TfimSpec | None:
+        """The chain whose ``build_tfim`` output this sum is, term for term.
+
+        The field is read from the first X term (zero without one), then the
+        terms are compared, order included, with both boundaries' chains.
+        Any other sum, reordered or extended, gives None.
+        """
+        if self.n < 2:
+            return None
+        field = next((-t.coefficient for t in self.terms if "X" in t.letters), 0.0)
+        for boundary in Boundary:
+            spec = TfimSpec(self.n, field, boundary)
+            if build_tfim(spec).terms == self.terms:
+                return spec
+        return None
+
     def to_dense(self) -> np.ndarray:
         _check_dense_size(self.n)
         dim = 1 << self.n

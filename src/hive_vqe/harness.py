@@ -31,7 +31,7 @@ from hive_vqe.config import (
     with_overrides,
 )
 from hive_vqe.diagnostics import hessian, qfim, spectrum_report
-from hive_vqe.hamiltonian import TfimSpec, build_tfim, exact_ground_energy
+from hive_vqe.hamiltonian import PauliSum, TfimSpec, build_tfim, exact_ground_energy
 from hive_vqe.loss import VqeObjective
 from hive_vqe.optimizers import (
     ConvergenceTrace,
@@ -81,13 +81,11 @@ class RunArtifact:
     duration_ms: float
 
 
-def build_problem(config: ExperimentConfig) -> tuple[HvaCircuit, VqeObjective]:
-    """Circuit and counted objective for a config, with the exact reference set."""
+def build_problem(config: ExperimentConfig) -> tuple[HvaCircuit, PauliSum, float]:
+    """Circuit, Hamiltonian and exact ground energy for a config."""
     spec = TfimSpec(n=config.qubits, h=config.h, boundary=config.boundary)
     circuit = HvaCircuit(n=config.qubits, layers=config.depth, boundary=config.boundary)
-    hamiltonian = build_tfim(spec)
-    reference = exact_ground_energy(spec)
-    return circuit, VqeObjective(circuit, hamiltonian, reference=reference)
+    return circuit, build_tfim(spec), exact_ground_energy(spec)
 
 
 def _restart_sort_key(item: tuple[RestartSummary, ConvergenceTrace]) -> tuple:
@@ -107,17 +105,16 @@ def execute_run(config: ExperimentConfig) -> RunArtifact:
     ``adam_restarts`` times from independent uniform starts (restart ``r``
     seeds its stream from the pair ``(seed, r)``) and keeps the best run:
     fastest to reach the target, else lowest final error.  If every restart
-    diverges the last divergence is re-raised.
+    diverges the last divergence is re-raised.  The problem is built once;
+    each restart counts its evaluations on its own objective.
     """
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     start = time.perf_counter()
-    spec = TfimSpec(n=config.qubits, h=config.h, boundary=config.boundary)
-    ground = exact_ground_energy(spec)
+    circuit, hamiltonian, ground = build_problem(config)
 
     if config.optimizer == "boa":
-        _, objective = build_problem(config)
         trace = run_optimization(
-            objective, config.boa, config.seed,
+            VqeObjective(circuit, hamiltonian, reference=ground), config.boa, config.seed,
             max_iterations=config.max_iterations, target=config.target,
         )
         restarts = None
@@ -127,10 +124,10 @@ def execute_run(config: ExperimentConfig) -> RunArtifact:
         last_divergence: DivergenceError | None = None
         for index in range(config.adam_restarts):
             restart_seed = _derived_seed(config.seed, index)
-            _, objective = build_problem(config)
             try:
                 trace = run_optimization(
-                    objective, config.adam, restart_seed,
+                    VqeObjective(circuit, hamiltonian, reference=ground),
+                    config.adam, restart_seed,
                     max_iterations=config.max_iterations, target=config.target,
                 )
                 diverged = False
@@ -170,6 +167,21 @@ def execute_run(config: ExperimentConfig) -> RunArtifact:
     )
 
 
+def _write_atomically(path: Path, text: str) -> None:
+    """Replace ``path`` by ``text`` whole or not at all.
+
+    The text goes to a temp file in the same directory, which is renamed
+    over ``path`` only once complete; a failed write removes it.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_trace_csv(records: list[TraceRecord], path: str | Path) -> None:
     """Write trace rows with the pinned header and 15-significant-digit floats."""
     lines = [TRACE_HEADER]
@@ -178,7 +190,7 @@ def write_trace_csv(records: list[TraceRecord], path: str | Path) -> None:
             f"{r.iteration},{_fmt(r.best_energy)},{_fmt(r.abs_error)},"
             f"{r.evaluations},{_fmt(r.wall_ms)}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomically(Path(path), "\n".join(lines) + "\n")
 
 
 def read_trace_csv(path: str | Path) -> list[TraceRecord]:
@@ -214,7 +226,11 @@ def trace_without_wall_ms(text: str) -> str:
 
 
 def save_run(artifact: RunArtifact, out_dir: str | Path) -> dict[str, Path]:
-    """Write trace.csv and run.json into ``out_dir``; returns the paths."""
+    """Write trace.csv and run.json into ``out_dir``; returns the paths.
+
+    Each file is written atomically, so a failed save leaves no partial
+    file that looks like a complete artifact.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"
@@ -250,7 +266,9 @@ def save_run(artifact: RunArtifact, out_dir: str | Path) -> dict[str, Path]:
             for s in artifact.restarts
         ],
     }
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
+    _write_atomically(
+        json_path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    )
     return {"trace": trace_path, "run": json_path}
 
 

@@ -5,6 +5,12 @@ prepared trial state.  The weighted training-set loss generalizes it to any
 collection of input states, weights, and a shared measured observable; with
 the uniform superposition, weight one, and the Hamiltonian as observable it
 reduces to the energy.
+
+Engines: ``vqe_energy_batch``, the swarm's call, and ``energy_and_gradient``,
+Adam's, run on the momentum pair engine of ``freefermion`` when the circuit
+is closed and the operator is term for term the closed TFIM.  ``vqe_energy``,
+the training-set loss and every other circuit or operator run on the
+statevector.
 """
 
 from __future__ import annotations
@@ -13,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hive_vqe import freefermion
 from hive_vqe.ansatz import (
     HvaCircuit,
     apply_circuit,
+    check_parameter_rows,
     energy_and_gradient,
     prepare_amplitudes,
     prepare_state,
@@ -30,11 +38,18 @@ def vqe_energy(circuit: HvaCircuit, theta, hamiltonian: PauliSum) -> float:
 
 
 def vqe_energy_batch(circuit: HvaCircuit, thetas: np.ndarray, hamiltonian: PauliSum) -> np.ndarray:
-    """Energies for a batch of parameter rows in one vectorized pass."""
+    """Energies for a batch of parameter rows in one vectorized pass.
+
+    The pass runs on pair states when ``freefermion.closed_chain_spec``
+    accepts the problem, else on the batched statevector.
+    """
     if hamiltonian.n != circuit.n:
         raise ValueError(
             f"operator acts on {hamiltonian.n} qubits, circuit expects {circuit.n}"
         )
+    spec = freefermion.closed_chain_spec(circuit, hamiltonian)
+    if spec is not None:
+        return freefermion.batch_energies(spec, check_parameter_rows(circuit, thetas))
     amps = prepare_amplitudes(circuit, thetas)
     return hamiltonian.expectation(amps)
 

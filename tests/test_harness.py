@@ -110,6 +110,26 @@ def test_save_run_artifacts(tmp_path):
     assert read_trace_csv(paths["trace"]) == artifact.trace.records
 
 
+@pytest.mark.parametrize("failing", ["trace.csv", "run.json"])
+def test_save_run_failure_leaves_no_partial_file(tmp_path, monkeypatch, failing):
+    artifact = execute_run(make_config())
+    out = tmp_path / "out"
+    write_text = harness.Path.write_text
+
+    def fail_midway(path, text):
+        if failing in path.name:
+            write_text(path, text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+        return write_text(path, text)
+
+    monkeypatch.setattr(harness.Path, "write_text", fail_midway)
+    with pytest.raises(OSError, match="No space"):
+        save_run(artifact, out)
+    assert not (out / "run.json").exists()
+    left = ["trace.csv"] if failing == "run.json" else []
+    assert sorted(p.name for p in out.iterdir()) == left
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv(harness.THREADS_ENV_VAR, raising=False)
     assert worker_count(4) >= 1
