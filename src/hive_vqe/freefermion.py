@@ -111,15 +111,15 @@ def energy_and_gradient(spec: TfimSpec, theta: np.ndarray) -> tuple[float, np.nd
     is the real energy.
     """
     params = theta.shape[0]
-    pairs = spec.n // 2
-    u = np.empty((params, pairs), dtype=np.complex128)
+    modes = spec.n // 2
+    u = np.empty((params, modes), dtype=np.complex128)
     v = np.zeros_like(u)
     u[0::2], v[0::2] = _coupling(spec.n, theta[0::2])
     u[1::2] = np.exp(-2j * theta[1::2])[:, None]
     factors = np.stack(
         (np.stack((u, v), axis=-1), np.stack((-v.conj(), u.conj()), axis=-1)), axis=-2
     )
-    states = np.empty((params + 1, pairs, 2, 1), dtype=np.complex128)
+    states = np.empty((params + 1, modes, 2, 1), dtype=np.complex128)
     states[0] = [[1.0], [0.0]]
     for j in range(params):
         np.matmul(factors[j], states[j], out=states[j + 1])
@@ -131,7 +131,7 @@ def energy_and_gradient(spec: TfimSpec, theta: np.ndarray) -> tuple[float, np.nd
     np.matmul(_hamiltonian(spec), psi[..., None], out=lam[-1])
     for j in range(params - 1, 0, -1):
         np.matmul(inverse[j], lam[j], out=lam[j - 1])
-    generators = np.empty((params, pairs, 2, 2))
+    generators = np.empty((params, modes, 2, 2))
     generators[0::2] = _coupling_operator(spec.n)
     generators[1::2] = np.diag([2.0, -2.0])
     image = np.matmul(generators, states[1:])
