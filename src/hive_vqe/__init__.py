@@ -10,10 +10,7 @@ from hive_vqe.hamiltonian import (
 )
 from hive_vqe.statevector import (
     StateVector,
-    evolve_x_layer,
-    evolve_zz_layer,
     expectation,
-    inner_product,
     plus_state,
     renormalization_count,
 )
@@ -27,9 +24,7 @@ from hive_vqe.ansatz import (
 )
 from hive_vqe.loss import (
     Objective,
-    TrainingSet,
     VqeObjective,
-    training_set_loss,
     vqe_energy,
     vqe_energy_batch,
 )
@@ -54,7 +49,6 @@ from hive_vqe.diagnostics import (
     fubini_study_distance,
     hessian,
     qfim,
-    qfim_rank,
     spectrum_report,
 )
 from hive_vqe.config import (

@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hive-vqe",
         description="Swarm-optimized variational ground-state search for the "
@@ -108,7 +108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     paths = save_run(artifact, args.out)
     trace = artifact.trace
     print(
-        f"{trace.terminated_by.value} optimizer={artifact.optimizer} "
+        f"{trace.terminated_by.value} optimizer={artifact.config.optimizer} "
         f"seed={artifact.seed} iterations={trace.iterations} "
         f"final_abs_error={trace.final_abs_error:.6g} "
         f"trace={paths['trace']}"
@@ -163,7 +163,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

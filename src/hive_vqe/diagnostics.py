@@ -15,12 +15,12 @@ import numpy as np
 
 from hive_vqe.ansatz import HvaCircuit, derivative_stack, energy_gradient
 from hive_vqe.hamiltonian import PauliSum
-from hive_vqe.statevector import StateVector, inner_product
+from hive_vqe.statevector import StateVector
 
 QFIM_SYMMETRY_TOLERANCE = 1e-9
 QFIM_EIGENVALUE_FLOOR = -1e-8
-DEFAULT_RANK_TOLERANCE = 1e-10
-DEFAULT_FD_STEP = 1e-4
+RANK_TOLERANCE = 1e-10
+FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,6 @@ class QfimMatrix:
     """
 
     entries: np.ndarray
-    theta: np.ndarray | None = None
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=np.float64)
@@ -43,10 +41,6 @@ class QfimMatrix:
         if asym > QFIM_SYMMETRY_TOLERANCE:
             raise ValueError(f"information matrix asymmetry {asym:.3e} exceeds tolerance")
         object.__setattr__(self, "entries", entries)
-        if self.theta is not None:
-            object.__setattr__(self, "theta", np.asarray(self.theta, dtype=np.float64))
-        if not self.rank_tolerance > 0:
-            raise ValueError(f"rank_tolerance must be positive, got {self.rank_tolerance}")
         low = float(self.eigenvalues[0]) if entries.size else 0.0
         if low < QFIM_EIGENVALUE_FLOOR:
             raise ValueError(
@@ -57,18 +51,12 @@ class QfimMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.entries)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class HessianMatrix:
     """Symmetrized finite-difference Hessian of the energy."""
 
     entries: np.ndarray
-    theta: np.ndarray | None = None
-    fd_step: float = DEFAULT_FD_STEP
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=np.float64)
@@ -77,18 +65,10 @@ class HessianMatrix:
         if not np.allclose(entries, entries.T, rtol=0.0, atol=1e-6 * max(1.0, float(np.abs(entries).max()))):
             raise ValueError("Hessian entries are not symmetric")
         object.__setattr__(self, "entries", entries)
-        if self.theta is not None:
-            object.__setattr__(self, "theta", np.asarray(self.theta, dtype=np.float64))
-        if not self.fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -109,55 +89,19 @@ def fubini_study_distance(a: StateVector, b: StateVector) -> float:
     form: ``D = (1/2) delta^T F delta + O(|delta|^3)``.  Identical states
     give 0, orthogonal states 2.
     """
-    overlap_sq = abs(inner_product(a, b)) ** 2
+    if a.n != b.n:
+        raise ValueError(f"states act on different qubit counts: {a.n} vs {b.n}")
+    overlap_sq = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
     return float(2.0 * max(0.0, 1.0 - overlap_sq))
 
 
-def qfim_from_vectors(
-    psi: np.ndarray,
-    derivatives: np.ndarray,
-    theta: np.ndarray | None = None,
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-) -> QfimMatrix:
-    """Assemble the information matrix from a state and its derivative stack."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    derivatives = np.asarray(derivatives, dtype=np.complex128)
-    if derivatives.ndim != 2 or derivatives.shape[1] != psi.shape[0]:
-        raise ValueError(
-            f"derivative stack shape {derivatives.shape} does not match state length {psi.shape}"
-        )
+def qfim(circuit: HvaCircuit, theta, base_state: StateVector | None = None) -> QfimMatrix:
+    """Information matrix of the prepared state at one parameter point."""
+    psi, derivatives = derivative_stack(circuit, theta, initial=base_state)
     gram = derivatives.conj() @ derivatives.T
     overlaps = derivatives.conj() @ psi
     entries = 4.0 * (gram - np.outer(overlaps, overlaps.conj())).real
-    entries = 0.5 * (entries + entries.T)
-    if theta is None:
-        theta = np.full(derivatives.shape[0], np.nan)
-    return QfimMatrix(entries, theta, rank_tolerance)
-
-
-def qfim(
-    circuit: HvaCircuit,
-    theta,
-    base_state: StateVector | None = None,
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-) -> QfimMatrix:
-    """Information matrix of the prepared state at one parameter point."""
-    psi, derivs = derivative_stack(circuit, theta, initial=base_state)
-    return qfim_from_vectors(psi, derivs, np.asarray(theta, dtype=np.float64), rank_tolerance)
-
-
-def qfim_rank(matrix: QfimMatrix | np.ndarray, rank_tolerance: float | None = None) -> int:
-    """Count eigenvalues above ``rank_tolerance`` times the largest one."""
-    if isinstance(matrix, QfimMatrix):
-        eigs = matrix.eigenvalues
-        tol = matrix.rank_tolerance if rank_tolerance is None else rank_tolerance
-    else:
-        eigs = np.linalg.eigvalsh(np.asarray(matrix, dtype=np.float64))
-        tol = DEFAULT_RANK_TOLERANCE if rank_tolerance is None else rank_tolerance
-    top = float(eigs[-1]) if eigs.size else 0.0
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(eigs > tol * top))
+    return QfimMatrix(0.5 * (entries + entries.T))
 
 
 def hessian_from_gradient(grad_fn, theta: np.ndarray, fd_step: float) -> np.ndarray:
@@ -181,43 +125,27 @@ def hessian_from_gradient(grad_fn, theta: np.ndarray, fd_step: float) -> np.ndar
     return rows
 
 
-def hessian(
-    circuit: HvaCircuit,
-    theta,
-    hamiltonian: PauliSum,
-    fd_step: float = DEFAULT_FD_STEP,
-) -> HessianMatrix:
+def hessian(circuit: HvaCircuit, theta, hamiltonian: PauliSum) -> HessianMatrix:
     """Energy Hessian as a symmetrized finite difference of the exact gradient."""
     theta = np.asarray(theta, dtype=np.float64)
     raw = hessian_from_gradient(
-        lambda point: energy_gradient(circuit, point, hamiltonian), theta, fd_step
+        lambda point: energy_gradient(circuit, point, hamiltonian), theta, FD_STEP
     )
     if not np.all(np.isfinite(raw)):
         raise ValueError("non-finite Hessian entries")
-    return HessianMatrix(0.5 * (raw + raw.T), theta, fd_step)
+    return HessianMatrix(0.5 * (raw + raw.T))
 
 
-def spectrum_report(
-    matrix: QfimMatrix | HessianMatrix | np.ndarray,
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-) -> SpectrumReport:
+def spectrum_report(matrix: QfimMatrix | HessianMatrix) -> SpectrumReport:
     """Eigenvalues ascending, rank above the relative threshold, and the rest.
 
-    Rank counts eigenvalues of magnitude above ``rank_tolerance`` times the
+    Rank counts eigenvalues of magnitude above ``RANK_TOLERANCE`` times the
     largest magnitude, so indefinite matrices report negative directions as
     nonzero.
     """
-    if isinstance(matrix, (QfimMatrix, HessianMatrix)):
-        eigs = matrix.eigenvalues
-    else:
-        entries = np.asarray(matrix, dtype=np.float64)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-        if not np.allclose(entries, entries.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(entries).max()))):
-            raise ValueError("spectrum_report expects a symmetric matrix")
-        eigs = np.linalg.eigvalsh(entries)
+    eigs = matrix.eigenvalues
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    threshold = rank_tolerance * scale
+    threshold = RANK_TOLERANCE * scale
     rank = int(np.count_nonzero(np.abs(eigs) > threshold)) if scale > 0.0 else 0
     return SpectrumReport(
         eigenvalues=np.sort(eigs),

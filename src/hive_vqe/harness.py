@@ -72,7 +72,6 @@ class RunArtifact:
     """Everything a single optimization run produced."""
 
     config: ExperimentConfig
-    optimizer: str
     seed: int
     ground_energy: float
     trace: ConvergenceTrace
@@ -157,7 +156,6 @@ def execute_run(config: ExperimentConfig) -> RunArtifact:
 
     return RunArtifact(
         config=config,
-        optimizer=config.optimizer,
         seed=seed,
         ground_energy=ground,
         trace=trace,
@@ -241,7 +239,7 @@ def save_run(artifact: RunArtifact, out_dir: str | Path) -> dict[str, Path]:
     best = artifact.trace.best_parameters
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "optimizer": artifact.optimizer,
+        "optimizer": artifact.config.optimizer,
         "seed": artifact.seed,
         "config": config_mapping(artifact.config),
         "ground_energy": artifact.ground_energy,
@@ -293,8 +291,12 @@ def worker_count(jobs: int) -> int:
     return max(1, min(limit, jobs))
 
 
-def _sweep_job(args: tuple[ExperimentConfig, int, int, str, int, str]) -> dict[str, object]:
-    base, qubits, depth, optimizer, seed, out_root = args
+_SweepJob = tuple[ExperimentConfig, int, int, str, int, str]
+
+
+def _cell(job: _SweepJob) -> tuple[dict[str, object], Path]:
+    """A cell's summary row before it has run, and its artifact directory."""
+    _, qubits, depth, optimizer, seed, out_root = job
     name = cell_name(qubits, depth, optimizer, seed)
     row: dict[str, object] = {
         "cell": name, "qubits": qubits, "depth": depth,
@@ -302,7 +304,21 @@ def _sweep_job(args: tuple[ExperimentConfig, int, int, str, int, str]) -> dict[s
         "reached_target": False, "iterations": 0,
         "final_abs_error": float("nan"), "error": "",
     }
-    cell_dir = Path(out_root) / name
+    return row, Path(out_root) / name
+
+
+def _record_failure(row: dict[str, object], cell_dir: Path, exc: Exception) -> dict[str, object]:
+    """Write the cell's error.txt and mark its row failed."""
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    message = f"{type(exc).__name__}: {exc}"
+    (cell_dir / "error.txt").write_text(message + "\n")
+    row["error"] = message
+    return row
+
+
+def _sweep_job(job: _SweepJob) -> dict[str, object]:
+    base, qubits, depth, optimizer, seed, _ = job
+    row, cell_dir = _cell(job)
     try:
         cfg = with_overrides(base, seed=seed, qubits=qubits, depth=depth, optimizer=optimizer)
         artifact = execute_run(cfg)
@@ -311,11 +327,29 @@ def _sweep_job(args: tuple[ExperimentConfig, int, int, str, int, str]) -> dict[s
         row["iterations"] = artifact.trace.iterations
         row["final_abs_error"] = artifact.trace.final_abs_error
     except Exception as exc:  # noqa: BLE001  record the failure, keep sweeping
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        message = f"{type(exc).__name__}: {exc}"
-        (cell_dir / "error.txt").write_text(message + "\n")
-        row["error"] = message
+        _record_failure(row, cell_dir, exc)
     return row
+
+
+def _pool_rows(jobs: list[_SweepJob], workers: int) -> list[dict[str, object]]:
+    """Run the jobs on a process pool, one future per job.
+
+    A job whose future raises, such as every job a crashed worker left
+    unfinished (``BrokenProcessPool``), becomes a failed row; the others
+    keep their results.
+    """
+    # Imported here: at module level it adds about 25 ms to every command.
+    from concurrent.futures import ProcessPoolExecutor
+
+    rows = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_sweep_job, job) for job in jobs]
+        for job, future in zip(jobs, futures):
+            try:
+                rows.append(future.result())
+            except Exception as exc:  # noqa: BLE001  a lost worker fails its cells only
+                rows.append(_record_failure(*_cell(job), exc))
+    return rows
 
 
 SUMMARY_HEADER = (
@@ -339,8 +373,9 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> SweepResult:
 
     Jobs are independent processes (pool size capped by HIVE_VQE_THREADS);
     each writes its own artifact directory, so per-run outputs are identical
-    for any pool size.  A failed run leaves error.txt in its cell directory
-    and an ``error`` entry in its summary row; the sweep continues.
+    for any pool size.  A failed run, or one lost with a crashed worker,
+    leaves error.txt in its cell directory and an ``error`` entry in its
+    summary row; the sweep continues and still writes summary.csv.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -351,14 +386,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> SweepResult:
         for seed in config.sweep_seeds
     ]
     workers = worker_count(len(jobs))
-    if workers == 1:
-        rows = [_sweep_job(job) for job in jobs]
-    else:
-        # Imported here: at module level it adds about 25 ms to every command.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_job, jobs, chunksize=1))
+    rows = [_sweep_job(job) for job in jobs] if workers == 1 else _pool_rows(jobs, workers)
 
     summary_rows = []
     for qubits, depth in config.sweep_grid:
@@ -399,7 +427,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> SweepResult:
             f"{'' if med_err is None else _fmt(med_err)},{row['errors']}"
         )
     summary_path = out_dir / "summary.csv"
-    summary_path.write_text("\n".join(lines) + "\n")
+    _write_atomically(summary_path, "\n".join(lines) + "\n")
     error_count = sum(1 for row in rows if row["error"])
     return SweepResult(rows, summary_rows, summary_path, error_count)
 
@@ -440,7 +468,7 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     """Write a dense matrix as bare comma-separated rows, 15 digits."""
     matrix = np.asarray(matrix, dtype=np.float64)
     lines = [",".join(_fmt(x) for x in row) for row in matrix]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomically(Path(path), "\n".join(lines) + "\n")
 
 
 def run_diagnose(config: ExperimentConfig, theta_source: str, out_dir: str | Path) -> dict[str, object]:
@@ -458,9 +486,7 @@ def run_diagnose(config: ExperimentConfig, theta_source: str, out_dir: str | Pat
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(info.entries, out_dir / "qfim.csv")
     write_matrix_csv(curvature.entries, out_dir / "hessian.csv")
-    (out_dir / "theta.txt").write_text(
-        "\n".join(f"{x:.17g}" for x in theta) + "\n"
-    )
+    _write_atomically(out_dir / "theta.txt", "\n".join(f"{x:.17g}" for x in theta) + "\n")
 
     lines = [
         f"theta_source: {origin}",
@@ -478,7 +504,7 @@ def run_diagnose(config: ExperimentConfig, theta_source: str, out_dir: str | Pat
         lines.append("eigenvalues:")
         for value in report.eigenvalues:
             lines.append(f"  {_fmt(value)}")
-    (out_dir / "spectrum.txt").write_text("\n".join(lines) + "\n")
+    _write_atomically(out_dir / "spectrum.txt", "\n".join(lines) + "\n")
 
     return {
         "theta_source": origin,

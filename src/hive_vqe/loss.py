@@ -1,35 +1,31 @@
 """Objective functions over circuit parameters, with evaluation accounting.
 
 The energy objective is the expectation of the chain Hamiltonian in the
-prepared trial state.  The weighted training-set loss generalizes it to any
-collection of input states, weights, and a shared measured observable; with
-the uniform superposition, weight one, and the Hamiltonian as observable it
-reduces to the energy.
+prepared trial state.  Both optimizers draw their starting points from
+``PARAMETER_BOUNDS``, and the swarm keeps its foragers inside it.
 
 Engines: ``vqe_energy_batch``, the swarm's call, and ``energy_and_gradient``,
 Adam's, run on the momentum pair engine of ``freefermion`` when the circuit
-is closed and the operator is term for term the closed TFIM.  ``vqe_energy``,
-the training-set loss and every other circuit or operator run on the
-statevector.
+is closed and the operator is term for term the closed TFIM.  ``vqe_energy``
+and every other circuit or operator run on the statevector.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from hive_vqe import freefermion
 from hive_vqe.ansatz import (
     HvaCircuit,
-    apply_circuit,
     check_parameter_rows,
     energy_and_gradient,
     prepare_amplitudes,
     prepare_state,
 )
 from hive_vqe.hamiltonian import PauliSum
-from hive_vqe.statevector import StateVector, expectation
+from hive_vqe.statevector import expectation
+
+PARAMETER_BOUNDS = (-np.pi, np.pi)
 
 
 def vqe_energy(circuit: HvaCircuit, theta, hamiltonian: PauliSum) -> float:
@@ -54,54 +50,18 @@ def vqe_energy_batch(circuit: HvaCircuit, thetas: np.ndarray, hamiltonian: Pauli
     return hamiltonian.expectation(amps)
 
 
-@dataclass(frozen=True)
-class TrainingSet:
-    """Weighted input states sharing one measured observable."""
-
-    entries: tuple[tuple[StateVector, float], ...]
-    observable: PauliSum
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("training set needs at least one entry")
-        for state, weight in self.entries:
-            if state.n != self.observable.n:
-                raise ValueError(
-                    f"entry acts on {state.n} qubits, observable on {self.observable.n}"
-                )
-            if not np.isfinite(weight):
-                raise ValueError("entry weights must be finite")
-
-
-def training_set_loss(circuit: HvaCircuit, theta, training_set: TrainingSet) -> float:
-    """Weighted sum of evolved-state expectations over the training set."""
-    if training_set.observable.n != circuit.n:
-        raise ValueError(
-            f"observable acts on {training_set.observable.n} qubits, circuit expects {circuit.n}"
-        )
-    total = 0.0
-    for state, weight in training_set.entries:
-        total += weight * expectation(apply_circuit(circuit, theta, state), training_set.observable)
-    return float(total)
-
-
 class Objective:
-    """Objective with bounds, an optional reference optimum, and call counting.
+    """Objective with an optional reference optimum and call counting.
 
     ``value`` and ``batch_values`` count one evaluation per parameter row;
     ``value_and_grad`` counts two, one forward pass plus one adjoint sweep.
     Subclasses implement the underscore hooks.
     """
 
-    def __init__(self, dim: int, bounds: tuple[float, float] = (-np.pi, np.pi),
-                 reference: float | None = None):
+    def __init__(self, dim: int, reference: float | None = None):
         if dim < 1:
             raise ValueError(f"objective dimension must be positive, got {dim}")
-        low, high = float(bounds[0]), float(bounds[1])
-        if not low < high:
-            raise ValueError(f"invalid bounds ({low}, {high})")
         self.dim = int(dim)
-        self.bounds = (low, high)
         self.reference = None if reference is None else float(reference)
         self.evaluations = 0
 

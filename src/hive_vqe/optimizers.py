@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hive_vqe.loss import Objective
+from hive_vqe.loss import PARAMETER_BOUNDS, Objective
 
 
 class Termination(enum.Enum):
@@ -105,7 +105,6 @@ class BoaConfig:
     stagnation_limit: int = 10
     initial_patch: float = 0.5
     shrink: float = 0.8
-    bounds: tuple[float, float] = (-np.pi, np.pi)
     keep_nonselected: bool = False
 
     def __post_init__(self) -> None:
@@ -125,9 +124,6 @@ class BoaConfig:
             raise ValueError(f"initial_patch must lie in (0, pi], got {self.initial_patch}")
         if not 0.0 < self.shrink <= 1.0:
             raise ValueError(f"shrink must lie in (0, 1], got {self.shrink}")
-        low, high = self.bounds
-        if not low < high:
-            raise ValueError(f"invalid bounds ({low}, {high})")
 
     @property
     def evaluations_per_cycle(self) -> int:
@@ -197,7 +193,7 @@ def _check_seed(seed: int) -> int:
 def boa_init(config: BoaConfig, objective: Objective, seed: int) -> BoaState:
     """Scatter the initial scout population and rank it."""
     seed = _check_seed(seed)
-    low, high = config.bounds
+    low, high = PARAMETER_BOUNDS
     positions = np.stack(
         [
             _site_stream(seed, 0, i).uniform(low, high, objective.dim)
@@ -228,7 +224,7 @@ def boa_cycle(state: BoaState, config: BoaConfig, objective: Objective) -> BoaSt
         raise ValueError(
             f"state holds {len(state.sites)} sites, config expects {config.scouts}"
         )
-    low, high = config.bounds
+    low, high = PARAMETER_BOUNDS
     cycle = state.cycle + 1
     streams = [_site_stream(state.seed, cycle, i) for i in range(config.scouts)]
 
@@ -411,7 +407,7 @@ def _run_adam(
 ) -> ConvergenceTrace:
     start = time.perf_counter()
     records: list[TraceRecord] = []
-    low, high = objective.bounds
+    low, high = PARAMETER_BOUNDS
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     theta = rng.uniform(low, high, objective.dim)
     moments = (np.zeros(objective.dim), np.zeros(objective.dim))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from hive_vqe.optimizers import TraceRecord
 
 ERROR_FLOOR = 1e-16
+WIDTH, HEIGHT = 720, 480
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -70,16 +71,14 @@ def render_convergence_svg(
     series_list: list[PlotSeries],
     target: float | None = None,
     title: str = "convergence",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render convergence curves to an SVG document string."""
     if not series_list:
         raise ValueError("nothing to plot: no series given")
 
     margin_left, margin_right, margin_top, margin_bottom = 74, 24, 42, 50
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
 
     x_min = min(min(s.iterations) for s in series_list)
     x_max = max(max(s.iterations) for s in series_list)
@@ -101,10 +100,10 @@ def render_convergence_svg(
         return margin_top + (1.0 - frac) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="15">'
         f"{html.escape(title, quote=False)}</text>",
     ]
 
@@ -167,7 +166,7 @@ def render_convergence_svg(
         parts.append(f'<text x="{legend_x + 28}" y="{y}">{label}</text>')
 
     parts.append(
-        f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 10}" '
+        f'<text x="{margin_left + plot_w / 2:.1f}" y="{HEIGHT - 10}" '
         f'text-anchor="middle">iteration</text>'
     )
     parts.append(

@@ -58,10 +58,6 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
 
 def plus_state(n: int) -> StateVector:
     """Uniform superposition, the shared circuit input."""
@@ -269,25 +265,8 @@ def renormalization_count() -> int:
     return _renormalizations
 
 
-def evolve_zz_layer(state: StateVector, angle: float, boundary: Boundary) -> StateVector:
-    """Apply the coupling-layer exponential at the given angle."""
-    return StateVector(state.n, apply_zz_layer(state.amplitudes, float(angle), state.n, boundary))
-
-
-def evolve_x_layer(state: StateVector, angle: float) -> StateVector:
-    """Apply the field-layer exponential at the given angle."""
-    return StateVector(state.n, apply_x_layer(state.amplitudes, float(angle), state.n))
-
-
 def expectation(state: StateVector, op: PauliSum) -> float:
     """Real expectation value of a Hermitian Pauli sum."""
     if op.n != state.n:
         raise ValueError(f"operator acts on {op.n} qubits, state has {state.n}")
     return float(op.expectation(state.amplitudes))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product <a|b>."""
-    if a.n != b.n:
-        raise ValueError(f"states act on different qubit counts: {a.n} vs {b.n}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

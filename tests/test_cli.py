@@ -1,11 +1,16 @@
 """Subcommand behavior, exit codes, artifact files, and plot output."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 
+import hive_vqe.cli as cli
+import hive_vqe.harness as harness
 from hive_vqe.cli import main
 from hive_vqe.harness import trace_without_wall_ms
+from hive_vqe.optimizers import ConvergenceTrace, DivergenceError, Termination
 
 
 def write_config(tmp_path, text):
@@ -101,6 +106,72 @@ def test_sweep_cli(tmp_path, capsys, monkeypatch):
     assert (out / "summary.csv").is_file()
     assert (out / "n2_L2_boa_seed1" / "trace.csv").is_file()
     assert "summary=" in capsys.readouterr().out
+
+
+SWEEP_THREE_SEEDS = (
+    "qubits = 2\ndepth = 2\nmax_iterations = 60\n"
+    "sweep.grid = 2:2\nsweep.optimizers = boa\nsweep.seeds = 1, 2, 3\n"
+)
+
+
+def test_sweep_with_a_failed_cell_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HIVE_VQE_THREADS", "1")
+    real = harness.execute_run
+
+    def fail_seed_two(config):
+        if config.seed == 2:
+            raise RuntimeError("synthetic failure")
+        return real(config)
+
+    monkeypatch.setattr(harness, "execute_run", fail_seed_two)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, SWEEP_THREE_SEEDS), "--out", str(out)]) == 3
+    assert "1 failed" in capsys.readouterr().out
+    assert (out / "summary.csv").is_file()
+
+
+def test_sweep_survives_a_crashed_worker(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HIVE_VQE_THREADS", "2")
+    parent = os.getpid()
+    real = harness.execute_run
+
+    def crash_on_seed_two(config):
+        # Only a forked pool worker dies; were the sweep serial, the test fails instead.
+        if config.seed == 2 and os.getpid() != parent:
+            os._exit(1)
+        return real(config)
+
+    monkeypatch.setattr(harness, "execute_run", crash_on_seed_two)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, SWEEP_THREE_SEEDS), "--out", str(out)]) == 3
+    cells = [out / f"n2_L2_boa_seed{seed}" for seed in (1, 2, 3)]
+    failed = [cell for cell in cells if (cell / "error.txt").is_file()]
+    assert cells[1] in failed
+    assert "BrokenProcessPool" in (cells[1] / "error.txt").read_text()
+    assert all((cell / "run.json").is_file() for cell in cells if cell not in failed)
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[1].endswith(f",{len(failed)}")
+    assert f"{len(failed)} failed" in capsys.readouterr().out
+
+
+def test_run_divergence_exits_three(tmp_path, capsys, monkeypatch):
+    def diverge(config):
+        raise DivergenceError("non-finite loss or gradient at iteration 1",
+                              ConvergenceTrace([], Termination.DIVERGED))
+
+    monkeypatch.setattr(cli, "execute_run", diverge)
+    assert main(["run", "--config", write_config(tmp_path, TINY), "--out", str(tmp_path / "r")]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_diagnose_linalg_failure_exits_three(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(harness, "hessian", no_convergence)
+    config = write_config(tmp_path, TINY)
+    assert main(["diagnose", "--config", config, "--out", str(tmp_path / "diag")]) == 3
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_diagnose_cli(tmp_path, capsys):

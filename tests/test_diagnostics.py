@@ -11,7 +11,6 @@ from hive_vqe.diagnostics import (
     hessian,
     hessian_from_gradient,
     qfim,
-    qfim_rank,
     spectrum_report,
 )
 from hive_vqe.hamiltonian import Boundary, TfimSpec, build_tfim
@@ -58,6 +57,8 @@ def test_distance_frozen_endpoints():
     assert fubini_study_distance(a, StateVector(3, np.exp(0.7j) * a.amplitudes)) == pytest.approx(
         0.0, abs=1e-12
     )
+    with pytest.raises(ValueError, match="different qubit counts"):
+        fubini_study_distance(a, plus_state(2))
 
 
 def test_qfim_matches_finite_difference_oracle():
@@ -167,13 +168,12 @@ def test_hessian_matrix_validation():
 
 
 def test_spectrum_report_and_rank():
-    report = spectrum_report(np.diag([16.0, 0.0]))
+    report = spectrum_report(QfimMatrix(np.diag([16.0, 0.0])))
     assert report.rank == 1
     assert report.zero_count == 1
     assert list(report.eigenvalues) == [0.0, 16.0]
-    assert qfim_rank(np.diag([16.0, 0.0])) == 1
 
-    zero = spectrum_report(np.zeros((3, 3)))
+    zero = spectrum_report(QfimMatrix(np.zeros((3, 3))))
     assert zero.rank == 0
     assert zero.zero_count == 3
 

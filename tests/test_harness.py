@@ -54,7 +54,6 @@ def test_trace_without_wall_ms():
 
 def test_execute_run_boa_reaches_target():
     artifact = execute_run(make_config())
-    assert artifact.optimizer == "boa"
     assert artifact.trace.reached_target
     assert artifact.restarts is None
     assert artifact.ground_energy < 0
@@ -110,10 +109,8 @@ def test_save_run_artifacts(tmp_path):
     assert read_trace_csv(paths["trace"]) == artifact.trace.records
 
 
-@pytest.mark.parametrize("failing", ["trace.csv", "run.json"])
-def test_save_run_failure_leaves_no_partial_file(tmp_path, monkeypatch, failing):
-    artifact = execute_run(make_config())
-    out = tmp_path / "out"
+def fail_writes_midway(monkeypatch, failing):
+    """Make every write to a file whose name contains ``failing`` stop halfway."""
     write_text = harness.Path.write_text
 
     def fail_midway(path, text):
@@ -123,6 +120,13 @@ def test_save_run_failure_leaves_no_partial_file(tmp_path, monkeypatch, failing)
         return write_text(path, text)
 
     monkeypatch.setattr(harness.Path, "write_text", fail_midway)
+
+
+@pytest.mark.parametrize("failing", ["trace.csv", "run.json"])
+def test_save_run_failure_leaves_no_partial_file(tmp_path, monkeypatch, failing):
+    artifact = execute_run(make_config())
+    out = tmp_path / "out"
+    fail_writes_midway(monkeypatch, failing)
     with pytest.raises(OSError, match="No space"):
         save_run(artifact, out)
     assert not (out / "run.json").exists()
@@ -211,6 +215,15 @@ def test_sweep_records_partial_failures(tmp_path, monkeypatch):
     assert (tmp_path / "sweep" / "summary.csv").is_file()
 
 
+def test_sweep_summary_failure_leaves_no_partial_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
+    fail_writes_midway(monkeypatch, "summary.csv")
+    out = tmp_path / "sweep"
+    with pytest.raises(OSError, match="No space"):
+        run_sweep(sweep_config(), out)
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == []
+
+
 def test_resolve_theta_modes(tmp_path):
     config = make_config()
     zeros, origin = resolve_theta(config, "zeros")
@@ -262,3 +275,16 @@ def test_run_diagnose_outputs(tmp_path):
     text = (tmp_path / "diag" / "spectrum.txt").read_text()
     assert "[qfim]" in text and "[hessian]" in text
     assert not math.isnan(summary["hessian_rank"])
+
+
+DIAGNOSE_FILES = ["qfim.csv", "hessian.csv", "theta.txt", "spectrum.txt"]
+
+
+@pytest.mark.parametrize("failing", DIAGNOSE_FILES)
+def test_diagnose_failure_leaves_no_partial_file(tmp_path, monkeypatch, failing):
+    out = tmp_path / "diag"
+    fail_writes_midway(monkeypatch, failing)
+    with pytest.raises(OSError, match="No space"):
+        run_diagnose(make_config(), "zeros", out)
+    written = DIAGNOSE_FILES[: DIAGNOSE_FILES.index(failing)]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)

@@ -1,19 +1,11 @@
-"""Energy objective values, batching, training-set reduction, and call counting."""
+"""Energy objective values, batching, and call counting."""
 
 import numpy as np
 import pytest
 
 from hive_vqe.ansatz import HvaCircuit
 from hive_vqe.hamiltonian import Boundary, TfimSpec, build_tfim, exact_ground_energy
-from hive_vqe.loss import (
-    Objective,
-    TrainingSet,
-    VqeObjective,
-    training_set_loss,
-    vqe_energy,
-    vqe_energy_batch,
-)
-from hive_vqe.statevector import plus_state
+from hive_vqe.loss import Objective, VqeObjective, vqe_energy, vqe_energy_batch
 
 
 def setup_problem(n=4, layers=3, boundary=Boundary.CLOSED, h=1.1):
@@ -39,41 +31,6 @@ def test_batch_matches_scalar():
         assert batch[k] == pytest.approx(vqe_energy(circuit, thetas[k], hamiltonian), abs=1e-12)
 
 
-def test_training_set_reduces_to_energy():
-    circuit, hamiltonian, _ = setup_problem(n=3, layers=2)
-    training = TrainingSet(entries=((plus_state(3), 1.0),), observable=hamiltonian)
-    rng = np.random.default_rng(32)
-    theta = rng.uniform(-1, 1, circuit.n_params)
-    assert training_set_loss(circuit, theta, training) == pytest.approx(
-        vqe_energy(circuit, theta, hamiltonian), abs=1e-12
-    )
-
-
-def test_training_set_weighted_sum():
-    from hive_vqe.statevector import StateVector
-
-    circuit, hamiltonian, _ = setup_problem(n=3, layers=1)
-    rng = np.random.default_rng(33)
-    vecs = []
-    for _ in range(2):
-        v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        vecs.append(StateVector(3, v / np.linalg.norm(v)))
-    training = TrainingSet(entries=((vecs[0], 0.25), (vecs[1], -2.0)), observable=hamiltonian)
-    theta = rng.uniform(-1, 1, circuit.n_params)
-    single_0 = training_set_loss(circuit, theta, TrainingSet(((vecs[0], 1.0),), hamiltonian))
-    single_1 = training_set_loss(circuit, theta, TrainingSet(((vecs[1], 1.0),), hamiltonian))
-    combined = training_set_loss(circuit, theta, training)
-    assert combined == pytest.approx(0.25 * single_0 - 2.0 * single_1, abs=1e-12)
-
-
-def test_training_set_validation():
-    _, hamiltonian, _ = setup_problem(n=3, layers=1)
-    with pytest.raises(ValueError):
-        TrainingSet(entries=(), observable=hamiltonian)
-    with pytest.raises(ValueError):
-        TrainingSet(entries=((plus_state(2), 1.0),), observable=hamiltonian)
-
-
 def test_objective_counts_evaluations():
     circuit, hamiltonian, spec = setup_problem(n=3, layers=2)
     objective = VqeObjective(circuit, hamiltonian, reference=exact_ground_energy(spec))
@@ -90,7 +47,6 @@ def test_objective_counts_evaluations():
 def test_objective_validation_and_bounds():
     circuit, hamiltonian, _ = setup_problem(n=3, layers=2)
     objective = VqeObjective(circuit, hamiltonian)
-    assert objective.bounds == (-np.pi, np.pi)
     assert objective.reference is None
     with pytest.raises(ValueError):
         objective.value(np.zeros(3))
@@ -98,8 +54,6 @@ def test_objective_validation_and_bounds():
         objective.batch_values(np.zeros(4))
     with pytest.raises(ValueError):
         Objective(dim=0)
-    with pytest.raises(ValueError):
-        Objective(dim=2, bounds=(1.0, -1.0))
 
 
 def test_value_and_grad_consistent():
