@@ -58,7 +58,6 @@ from hive_vqe.config import (
     config_mapping,
     load_config,
     parse_config_text,
-    with_overrides,
 )
 from hive_vqe.harness import (
     RunArtifact,

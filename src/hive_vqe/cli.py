@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from hive_vqe import __version__
-from hive_vqe.config import ConfigError, load_config, with_overrides
+from hive_vqe.config import ConfigError, load_config
 from hive_vqe.hamiltonian import Boundary, TfimSpec, exact_ground_energy
 from hive_vqe.harness import (
     execute_run,
@@ -103,7 +104,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    config = with_overrides(config, seed=args.seed)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     artifact = execute_run(config)
     paths = save_run(artifact, args.out)
     trace = artifact.trace
@@ -133,7 +135,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    config = with_overrides(config, seed=args.seed)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     summary = run_diagnose(config, args.theta, args.out)
     print(
         f"theta={summary['theta_source']} qfim_rank={summary['qfim_rank']} "

@@ -9,13 +9,14 @@ version 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from hive_vqe.hamiltonian import MAX_QUBITS, MIN_QUBITS, Boundary
-from hive_vqe.optimizers import AdamConfig, BoaConfig
+from hive_vqe.optimizers import SEED_LIMIT, AdamConfig, BoaConfig
 
 SCHEMA_VERSION = 1
 
@@ -54,7 +55,7 @@ class ExperimentConfig:
             raise ConfigError(f"depth: expected a positive integer, got {self.depth}")
         if not np.isfinite(self.h):
             raise ConfigError(f"h: expected a finite number, got {self.h}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError(f"seed: expected an unsigned 64-bit integer, got {self.seed}")
         if self.max_iterations < 1:
             raise ConfigError(
@@ -85,7 +86,7 @@ class ExperimentConfig:
         if not self.sweep_seeds:
             raise ConfigError("sweep.seeds: expected at least one seed")
         for s in self.sweep_seeds:
-            if not 0 <= s < 2**64:
+            if not 0 <= s < SEED_LIMIT:
                 raise ConfigError(f"sweep.seeds: expected unsigned 64-bit integers, got {s}")
 
 
@@ -116,6 +117,13 @@ def _parse_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+def _parse_boundary(field_path: str, value: str) -> Boundary:
+    try:
+        return Boundary.parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"{field_path}: {exc}") from None
+
+
 def _parse_grid(field_path: str, value: str) -> tuple[tuple[int, int], ...]:
     cells = []
     for item in _parse_list(value):
@@ -128,6 +136,51 @@ def _parse_grid(field_path: str, value: str) -> tuple[tuple[int, int], ...]:
     if not cells:
         raise ConfigError(f"{field_path}: expected at least one qubits:depth cell")
     return tuple(cells)
+
+
+# Each key's dataclass, field, parser (called as ``parser(key, text)``) and
+# run.json formatter (None: the value as is).  Key checks, parsing and
+# config_mapping all read it.
+CONFIG_KEYS: dict[str, tuple[type, str, Callable[[str, str], Any], Callable | None]] = {
+    "qubits": (ExperimentConfig, "qubits", _parse_int, None),
+    "depth": (ExperimentConfig, "depth", _parse_int, None),
+    "h": (ExperimentConfig, "h", _parse_float, None),
+    "boundary": (ExperimentConfig, "boundary", _parse_boundary, lambda b: b.value),
+    "seed": (ExperimentConfig, "seed", _parse_int, None),
+    "max_iterations": (ExperimentConfig, "max_iterations", _parse_int, None),
+    "target": (ExperimentConfig, "target", _parse_float, None),
+    "optimizer": (ExperimentConfig, "optimizer", lambda _, text: text.strip().lower(), None),
+    "optimizer.boa.scouts": (BoaConfig, "scouts", _parse_int, None),
+    "optimizer.boa.selected_sites": (BoaConfig, "selected_sites", _parse_int, None),
+    "optimizer.boa.elite_sites": (BoaConfig, "elite_sites", _parse_int, None),
+    "optimizer.boa.elite_foragers": (BoaConfig, "elite_foragers", _parse_int, None),
+    "optimizer.boa.site_foragers": (BoaConfig, "site_foragers", _parse_int, None),
+    "optimizer.boa.stagnation_limit": (BoaConfig, "stagnation_limit", _parse_int, None),
+    "optimizer.boa.initial_patch": (BoaConfig, "initial_patch", _parse_float, None),
+    "optimizer.boa.shrink": (BoaConfig, "shrink", _parse_float, None),
+    "optimizer.boa.keep_nonselected": (BoaConfig, "keep_nonselected", _parse_bool, None),
+    "optimizer.adam.learning_rate": (AdamConfig, "learning_rate", _parse_float, None),
+    "optimizer.adam.beta1": (AdamConfig, "beta1", _parse_float, None),
+    "optimizer.adam.beta2": (AdamConfig, "beta2", _parse_float, None),
+    "optimizer.adam.eps": (AdamConfig, "eps", _parse_float, None),
+    "optimizer.adam.restarts": (ExperimentConfig, "adam_restarts", _parse_int, None),
+    "sweep.grid": (
+        ExperimentConfig, "sweep_grid", _parse_grid,
+        lambda grid: ", ".join(f"{n}:{d}" for n, d in grid),
+    ),
+    "sweep.optimizers": (
+        ExperimentConfig, "sweep_optimizers",
+        lambda _, text: tuple(name.lower() for name in _parse_list(text)), ", ".join,
+    ),
+    "sweep.seeds": (
+        ExperimentConfig, "sweep_seeds",
+        lambda key, text: tuple(_parse_int(key, item) for item in _parse_list(text)),
+        lambda seeds: ", ".join(str(s) for s in seeds),
+    ),
+}
+
+# The ExperimentConfig field that holds each optimizer's sub-config.
+_SECTIONS = {BoaConfig: "boa", AdamConfig: "adam"}
 
 
 def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
@@ -150,90 +203,25 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
     return mapping
 
 
-_TOP_LEVEL_KEYS = {
-    "qubits", "depth", "h", "boundary", "seed", "max_iterations", "target", "optimizer",
-}
-_BOA_KEYS = {
-    "scouts", "selected_sites", "elite_sites", "elite_foragers", "site_foragers",
-    "stagnation_limit", "initial_patch", "shrink", "keep_nonselected",
-}
-_ADAM_KEYS = {"learning_rate", "beta1", "beta2", "eps", "restarts"}
-_SWEEP_KEYS = {"grid", "optimizers", "seeds"}
-
-
 def experiment_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a validated config from a raw dotted-key mapping."""
-    known = set(_TOP_LEVEL_KEYS)
-    known |= {f"optimizer.boa.{k}" for k in _BOA_KEYS}
-    known |= {f"optimizer.adam.{k}" for k in _ADAM_KEYS}
-    known |= {f"sweep.{k}" for k in _SWEEP_KEYS}
     for key in mapping:
-        if key not in known:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown key {key!r}")
     for required in ("qubits", "depth"):
         if required not in mapping:
             raise ConfigError(f"{required}: required key is missing")
-
-    values: dict[str, object] = {
-        "qubits": _parse_int("qubits", mapping["qubits"]),
-        "depth": _parse_int("depth", mapping["depth"]),
-    }
-    if "h" in mapping:
-        values["h"] = _parse_float("h", mapping["h"])
-    if "boundary" in mapping:
+    fields: dict[type, dict[str, Any]] = {ExperimentConfig: {}, BoaConfig: {}, AdamConfig: {}}
+    for key, (owner, name, parse, _) in CONFIG_KEYS.items():
+        if key in mapping:
+            fields[owner][name] = parse(key, mapping[key])
+    values = fields.pop(ExperimentConfig)
+    for owner, kwargs in fields.items():
+        section = _SECTIONS[owner]
         try:
-            values["boundary"] = Boundary.parse(mapping["boundary"])
+            values[section] = owner(**kwargs)
         except ValueError as exc:
-            raise ConfigError(f"boundary: {exc}") from None
-    if "seed" in mapping:
-        values["seed"] = _parse_int("seed", mapping["seed"])
-    if "max_iterations" in mapping:
-        values["max_iterations"] = _parse_int("max_iterations", mapping["max_iterations"])
-    if "target" in mapping:
-        values["target"] = _parse_float("target", mapping["target"])
-    if "optimizer" in mapping:
-        values["optimizer"] = mapping["optimizer"].strip().lower()
-
-    boa_kwargs: dict[str, object] = {}
-    for key in sorted(_BOA_KEYS):
-        path = f"optimizer.boa.{key}"
-        if path not in mapping:
-            continue
-        if key in ("initial_patch", "shrink"):
-            boa_kwargs[key] = _parse_float(path, mapping[path])
-        elif key == "keep_nonselected":
-            boa_kwargs[key] = _parse_bool(path, mapping[path])
-        else:
-            boa_kwargs[key] = _parse_int(path, mapping[path])
-    try:
-        values["boa"] = BoaConfig(**boa_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"optimizer.boa: {exc}") from None
-
-    adam_kwargs: dict[str, object] = {}
-    for key in ("learning_rate", "beta1", "beta2", "eps"):
-        path = f"optimizer.adam.{key}"
-        if path in mapping:
-            adam_kwargs[key] = _parse_float(path, mapping[path])
-    try:
-        values["adam"] = AdamConfig(**adam_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"optimizer.adam: {exc}") from None
-    if "optimizer.adam.restarts" in mapping:
-        values["adam_restarts"] = _parse_int(
-            "optimizer.adam.restarts", mapping["optimizer.adam.restarts"]
-        )
-
-    if "sweep.grid" in mapping:
-        values["sweep_grid"] = _parse_grid("sweep.grid", mapping["sweep.grid"])
-    if "sweep.optimizers" in mapping:
-        names = tuple(name.lower() for name in _parse_list(mapping["sweep.optimizers"]))
-        values["sweep_optimizers"] = names
-    if "sweep.seeds" in mapping:
-        values["sweep_seeds"] = tuple(
-            _parse_int("sweep.seeds", item) for item in _parse_list(mapping["sweep.seeds"])
-        )
-
+            raise ConfigError(f"optimizer.{section}: {exc}") from None
     return ExperimentConfig(**values)
 
 
@@ -247,44 +235,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return experiment_from_mapping(parse_config_text(text, source=str(path)))
 
 
-def with_overrides(
-    config: ExperimentConfig,
-    seed: int | None = None,
-    qubits: int | None = None,
-    depth: int | None = None,
-    optimizer: str | None = None,
-) -> ExperimentConfig:
-    """Copy a config with selected fields replaced (used by CLI flags and sweeps)."""
-    changes: dict[str, object] = {}
-    if seed is not None:
-        changes["seed"] = seed
-    if qubits is not None:
-        changes["qubits"] = qubits
-    if depth is not None:
-        changes["depth"] = depth
-    if optimizer is not None:
-        changes["optimizer"] = optimizer
-    return replace(config, **changes) if changes else config
-
-
 def config_mapping(config: ExperimentConfig) -> dict[str, object]:
     """Flatten a config back to its dotted-key form (for artifacts)."""
-    out: dict[str, object] = {
-        "qubits": config.qubits,
-        "depth": config.depth,
-        "h": config.h,
-        "boundary": config.boundary.value,
-        "seed": config.seed,
-        "max_iterations": config.max_iterations,
-        "target": config.target,
-        "optimizer": config.optimizer,
-        "optimizer.adam.restarts": config.adam_restarts,
-        "sweep.grid": ", ".join(f"{n}:{d}" for n, d in config.sweep_grid),
-        "sweep.optimizers": ", ".join(config.sweep_optimizers),
-        "sweep.seeds": ", ".join(str(s) for s in config.sweep_seeds),
-    }
-    for key in sorted(_BOA_KEYS):
-        out[f"optimizer.boa.{key}"] = getattr(config.boa, key)
-    for key in ("learning_rate", "beta1", "beta2", "eps"):
-        out[f"optimizer.adam.{key}"] = getattr(config.adam, key)
+    out: dict[str, object] = {}
+    for key, (owner, name, _, fmt) in CONFIG_KEYS.items():
+        holder = getattr(config, _SECTIONS[owner]) if owner in _SECTIONS else config
+        value = getattr(holder, name)
+        out[key] = fmt(value) if fmt else value
     return out

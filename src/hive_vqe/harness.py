@@ -17,19 +17,13 @@ import json
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from hive_vqe.ansatz import HvaCircuit
-from hive_vqe.config import (
-    SCHEMA_VERSION,
-    ConfigError,
-    ExperimentConfig,
-    config_mapping,
-    with_overrides,
-)
+from hive_vqe.config import SCHEMA_VERSION, ConfigError, ExperimentConfig, config_mapping
 from hive_vqe.diagnostics import hessian, qfim, spectrum_report
 from hive_vqe.hamiltonian import PauliSum, TfimSpec, build_tfim, exact_ground_energy
 from hive_vqe.loss import VqeObjective
@@ -311,7 +305,7 @@ def _record_failure(row: dict[str, object], cell_dir: Path, exc: Exception) -> d
     """Write the cell's error.txt and mark its row failed."""
     cell_dir.mkdir(parents=True, exist_ok=True)
     message = f"{type(exc).__name__}: {exc}"
-    (cell_dir / "error.txt").write_text(message + "\n")
+    _write_atomically(cell_dir / "error.txt", message + "\n")
     row["error"] = message
     return row
 
@@ -320,7 +314,7 @@ def _sweep_job(job: _SweepJob) -> dict[str, object]:
     base, qubits, depth, optimizer, seed, _ = job
     row, cell_dir = _cell(job)
     try:
-        cfg = with_overrides(base, seed=seed, qubits=qubits, depth=depth, optimizer=optimizer)
+        cfg = replace(base, seed=seed, qubits=qubits, depth=depth, optimizer=optimizer)
         artifact = execute_run(cfg)
         save_run(artifact, cell_dir)
         row["reached_target"] = artifact.trace.reached_target
@@ -334,21 +328,28 @@ def _sweep_job(job: _SweepJob) -> dict[str, object]:
 def _pool_rows(jobs: list[_SweepJob], workers: int) -> list[dict[str, object]]:
     """Run the jobs on a process pool, one future per job.
 
-    A job whose future raises, such as every job a crashed worker left
-    unfinished (``BrokenProcessPool``), becomes a failed row; the others
-    keep their results.
+    A crashed worker breaks the pool, which fails every job it left
+    unfinished with ``BrokenProcessPool``.  Each such job runs once more,
+    alone, in a fresh one-worker pool, so only a job that crashes again is
+    lost.  A job that still raises becomes a failed row; the others keep
+    their results.
     """
     # Imported here: at module level it adds about 25 ms to every command.
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def finished(batch: list[_SweepJob], size: int) -> list:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            return [pool.submit(_sweep_job, job) for job in batch]
 
     rows = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_job, job) for job in jobs]
-        for job, future in zip(jobs, futures):
-            try:
-                rows.append(future.result())
-            except Exception as exc:  # noqa: BLE001  a lost worker fails its cells only
-                rows.append(_record_failure(*_cell(job), exc))
+    for job, future in zip(jobs, finished(jobs, workers)):
+        if isinstance(future.exception(), BrokenProcessPool):
+            (future,) = finished([job], 1)
+        try:
+            rows.append(future.result())
+        except Exception as exc:  # noqa: BLE001  a failed job fails its own cell only
+            rows.append(_record_failure(*_cell(job), exc))
     return rows
 
 

@@ -26,6 +26,10 @@ import numpy as np
 from hive_vqe.loss import PARAMETER_BOUNDS, Objective
 
 
+# Seeds are unsigned 64-bit integers: every seed lies in [0, SEED_LIMIT).
+SEED_LIMIT = 2**64
+
+
 class Termination(enum.Enum):
     TARGET_REACHED = "target_reached"
     MAX_ITERATIONS = "max_iterations"
@@ -185,7 +189,7 @@ def _site_stream(seed: int, cycle: int, index: int) -> np.random.Generator:
 
 def _check_seed(seed: int) -> int:
     seed = int(seed)
-    if not 0 <= seed < 2**64:
+    if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
 
@@ -228,73 +232,38 @@ def boa_cycle(state: BoaState, config: BoaConfig, objective: Objective) -> BoaSt
     cycle = state.cycle + 1
     streams = [_site_stream(state.seed, cycle, i) for i in range(config.scouts)]
 
-    candidate_blocks: list[np.ndarray] = []
-    block_owner: list[int] = []
-    scout_positions: dict[int, np.ndarray] = {}
+    # One candidate block per rank, best site first: foragers for each selected
+    # site, then a one-row scout draw for each other site unless it is kept.
+    blocks: list[np.ndarray] = []
     for rank, site in enumerate(state.sites):
-        if rank < config.elite_sites:
-            recruits = config.elite_foragers
-        elif rank < config.selected_sites:
-            recruits = config.site_foragers
-        else:
-            if not config.keep_nonselected:
-                scout_positions[rank] = streams[rank].uniform(low, high, objective.dim)
-            continue
-        box_low = np.maximum(low, site.position - site.patch_width)
-        box_high = np.minimum(high, site.position + site.patch_width)
-        candidate_blocks.append(
-            streams[rank].uniform(box_low, box_high, (recruits, objective.dim))
-        )
-        block_owner.append(rank)
-
-    stacked = np.vstack(candidate_blocks + [p[None, :] for _, p in sorted(scout_positions.items())])
+        if rank < config.selected_sites:
+            recruits = config.elite_foragers if rank < config.elite_sites else config.site_foragers
+            box_low = np.maximum(low, site.position - site.patch_width)
+            box_high = np.minimum(high, site.position + site.patch_width)
+            blocks.append(streams[rank].uniform(box_low, box_high, (recruits, objective.dim)))
+        elif not config.keep_nonselected:
+            blocks.append(streams[rank].uniform(low, high, (1, objective.dim)))
+    stacked = np.vstack(blocks)
     values = objective.batch_values(stacked)
 
-    new_sites: list[Site] = []
+    new_sites = list(state.sites)
     offset = 0
-    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for rank, block in zip(block_owner, candidate_blocks):
-        pending[rank] = (block, values[offset : offset + block.shape[0]])
-        offset += block.shape[0]
-    scout_values: dict[int, float] = {}
-    for rank in sorted(scout_positions):
-        scout_values[rank] = float(values[offset])
-        offset += 1
-
-    for rank, site in enumerate(state.sites):
-        if rank in pending:
-            block, block_values = pending[rank]
-            j = int(np.argmin(block_values))
-            if block_values[j] < site.fitness:
-                new_sites.append(
-                    Site(block[j].copy(), float(block_values[j]), 0, site.patch_width)
-                )
-            else:
-                stagnation = site.stagnation + 1
-                if stagnation >= config.stagnation_limit:
-                    new_sites.append(
-                        Site(
-                            streams[rank].uniform(low, high, objective.dim),
-                            float("inf"),
-                            0,
-                            config.initial_patch,
-                        )
-                    )
-                else:
-                    new_sites.append(
-                        Site(
-                            site.position,
-                            site.fitness,
-                            stagnation,
-                            site.patch_width * config.shrink,
-                        )
-                    )
-        elif rank in scout_positions:
-            new_sites.append(
-                Site(scout_positions[rank], scout_values[rank], 0, config.initial_patch)
-            )
+    for rank, (site, block) in enumerate(zip(state.sites, blocks)):
+        block_values = values[offset : offset + len(block)]
+        offset += len(block)
+        if rank >= config.selected_sites:
+            new_sites[rank] = Site(block[0], float(block_values[0]), 0, config.initial_patch)
+            continue
+        j = int(np.argmin(block_values))
+        if block_values[j] < site.fitness:
+            new_sites[rank] = Site(block[j].copy(), float(block_values[j]), 0, site.patch_width)
+        elif site.stagnation + 1 >= config.stagnation_limit:
+            position = streams[rank].uniform(low, high, objective.dim)
+            new_sites[rank] = Site(position, float("inf"), 0, config.initial_patch)
         else:
-            new_sites.append(site)
+            new_sites[rank] = Site(
+                site.position, site.fitness, site.stagnation + 1, site.patch_width * config.shrink
+            )
 
     best_position = state.best_position
     best_fitness = state.best_fitness
@@ -365,8 +334,22 @@ def run_optimization(
     raise TypeError(f"unsupported optimizer config {type(method).__name__}")
 
 
-def _abs_error(energy: float, reference: float | None) -> float:
-    return abs(energy - reference) if reference is not None else float("nan")
+def _record(
+    records: list[TraceRecord], iteration: int, energy: float, objective: Objective, start: float
+) -> float:
+    """Append the iteration's trace record and return its absolute error."""
+    reference = objective.reference
+    error = abs(energy - reference) if reference is not None else float("nan")
+    records.append(
+        TraceRecord(
+            iteration=iteration,
+            best_energy=quantize15(energy),
+            abs_error=quantize15(error),
+            evaluations=objective.evaluations,
+            wall_ms=quantize15((time.perf_counter() - start) * 1e3),
+        )
+    )
+    return error
 
 
 def _run_boa(
@@ -382,17 +365,7 @@ def _run_boa(
     termination = Termination.MAX_ITERATIONS
     for iteration in range(1, max_iterations + 1):
         state = boa_cycle(state, config, objective)
-        error = _abs_error(state.best_fitness, objective.reference)
-        records.append(
-            TraceRecord(
-                iteration=iteration,
-                best_energy=quantize15(state.best_fitness),
-                abs_error=quantize15(error),
-                evaluations=objective.evaluations,
-                wall_ms=quantize15((time.perf_counter() - start) * 1e3),
-            )
-        )
-        if error <= target:
+        if _record(records, iteration, state.best_fitness, objective, start) <= target:
             termination = Termination.TARGET_REACHED
             break
     return ConvergenceTrace(records, termination, state.best_position.copy())
@@ -424,17 +397,7 @@ def _run_adam(
         if energy < best_energy:
             best_energy = energy
             best_theta = theta.copy()
-        error = _abs_error(energy, objective.reference)
-        records.append(
-            TraceRecord(
-                iteration=iteration,
-                best_energy=quantize15(energy),
-                abs_error=quantize15(error),
-                evaluations=objective.evaluations,
-                wall_ms=quantize15((time.perf_counter() - start) * 1e3),
-            )
-        )
-        if error <= target:
+        if _record(records, iteration, energy, objective, start) <= target:
             termination = Termination.TARGET_REACHED
             break
         theta, moments = adam_step(theta, gradient, moments, config, iteration)

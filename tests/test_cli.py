@@ -146,7 +146,7 @@ def test_sweep_survives_a_crashed_worker(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", write_config(tmp_path, SWEEP_THREE_SEEDS), "--out", str(out)]) == 3
     cells = [out / f"n2_L2_boa_seed{seed}" for seed in (1, 2, 3)]
     failed = [cell for cell in cells if (cell / "error.txt").is_file()]
-    assert cells[1] in failed
+    assert failed == [cells[1]]
     assert "BrokenProcessPool" in (cells[1] / "error.txt").read_text()
     assert all((cell / "run.json").is_file() for cell in cells if cell not in failed)
     summary = (out / "summary.csv").read_text().splitlines()

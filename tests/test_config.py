@@ -1,9 +1,13 @@
 """Dotted-key parsing, defaulting, validation messages, and round trips."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hive_vqe.config import (
+    CONFIG_KEYS,
     DEFAULT_GRID,
     ConfigError,
     ExperimentConfig,
@@ -11,9 +15,11 @@ from hive_vqe.config import (
     experiment_from_mapping,
     load_config,
     parse_config_text,
-    with_overrides,
 )
 from hive_vqe.hamiltonian import Boundary
+from hive_vqe.optimizers import AdamConfig, BoaConfig
+
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
 
 
 def build(text):
@@ -128,15 +134,6 @@ def test_mapping_round_trip():
     assert rebuilt == config
 
 
-def test_with_overrides():
-    config = build("qubits = 4\ndepth = 4\n")
-    assert with_overrides(config) is config
-    replaced = with_overrides(config, seed=9, qubits=6, depth=10, optimizer="adam")
-    assert (replaced.seed, replaced.qubits, replaced.depth) == (9, 6, 10)
-    assert replaced.optimizer == "adam"
-    assert config.seed == 1
-
-
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
@@ -152,3 +149,28 @@ def test_direct_construction_validates():
         ExperimentConfig(qubits=4, depth=4, sweep_optimizers=("genetic",))
     with pytest.raises(ConfigError):
         ExperimentConfig(qubits=4, depth=4, max_iterations=0)
+
+
+def documented_defaults():
+    """``{dotted key: default text}`` read from the tables of the schema doc."""
+    documented, prefix = {}, ""
+    for line in SCHEMA_DOC.read_text().splitlines():
+        if line.startswith("## "):
+            section = re.search(r"\(`([\w.]+)\*`\)", line)
+            prefix = section.group(1) if section else ""
+        row = re.match(r"\| `([\w.]+)` \|[^|]+\| ([^|]+) \|", line)
+        if row:
+            documented[prefix + row.group(1)] = row.group(2).strip().strip("`")
+    return documented
+
+
+def test_schema_doc_matches_the_key_table():
+    documented = documented_defaults()
+    assert set(documented) == set(CONFIG_KEYS)
+    assert {key for key, text in documented.items() if text == "required"} == {"qubits", "depth"}
+    config = ExperimentConfig(qubits=4, depth=4)
+    holders = {ExperimentConfig: config, BoaConfig: config.boa, AdamConfig: config.adam}
+    for key, text in documented.items():
+        if text != "required":
+            owner, name, parse, _ = CONFIG_KEYS[key]
+            assert parse(key, text) == getattr(holders[owner], name), key

@@ -215,6 +215,23 @@ def test_sweep_records_partial_failures(tmp_path, monkeypatch):
     assert (tmp_path / "sweep" / "summary.csv").is_file()
 
 
+def test_sweep_error_file_failure_leaves_no_partial_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
+    real = harness.execute_run
+
+    def flaky(config):
+        if config.depth == 1:
+            raise RuntimeError("synthetic failure")
+        return real(config)
+
+    monkeypatch.setattr(harness, "execute_run", flaky)
+    fail_writes_midway(monkeypatch, "error.txt")
+    out = tmp_path / "sweep"
+    with pytest.raises(OSError, match="No space"):
+        run_sweep(sweep_config(), out)
+    assert [p.name for p in out.rglob("*") if p.is_file()] == []
+
+
 def test_sweep_summary_failure_leaves_no_partial_file(tmp_path, monkeypatch):
     monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
     fail_writes_midway(monkeypatch, "summary.csv")

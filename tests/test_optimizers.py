@@ -200,6 +200,35 @@ def test_boa_patch_shrinks_on_failure():
         assert site.stagnation == 1
 
 
+def test_boa_cycle_keeps_nonselected_sites():
+    config = BoaConfig(keep_nonselected=True, stagnation_limit=2)
+    objective = Quadratic(dim=3)
+    state = boa_init(config, objective, seed=11)
+    for _ in range(6):
+        before = objective.evaluations
+        after = boa_cycle(state, config, objective)
+        assert objective.evaluations - before == 55
+        for kept in state.sites[config.selected_sites :]:
+            assert any(
+                np.array_equal(site.position, kept.position)
+                and (site.fitness, site.stagnation, site.patch_width)
+                == (kept.fitness, kept.stagnation, kept.patch_width)
+                for site in after.sites
+            )
+        state = after
+
+
+@pytest.mark.parametrize(
+    "keep, energy, evaluations",
+    [(False, 0.000224494680969457, 2410), (True, 0.00105485928024023, 2210)],
+)
+def test_boa_trajectory_is_pinned(keep, energy, evaluations):
+    config = BoaConfig(keep_nonselected=keep, stagnation_limit=3)
+    trace = run_optimization(Quadratic(3), config, seed=17, max_iterations=40, target=1e-12)
+    assert trace.records[-1].best_energy == energy
+    assert trace.records[-1].evaluations == evaluations
+
+
 def test_run_optimization_boa_quadratic():
     trace = run_optimization(Quadratic(dim=1), BoaConfig(), seed=1, max_iterations=50, target=1e-3)
     assert trace.reached_target
