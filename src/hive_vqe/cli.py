@@ -21,6 +21,7 @@ from hive_vqe import __version__
 from hive_vqe.config import ConfigError, load_config
 from hive_vqe.hamiltonian import Boundary, TfimSpec, exact_ground_energy
 from hive_vqe.harness import (
+    _write_atomically,
     execute_run,
     read_trace_csv,
     run_diagnose,
@@ -160,7 +161,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg)
+    _write_atomically(out, svg)
     print(f"wrote {out}")
     return 0
 

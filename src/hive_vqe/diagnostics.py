@@ -2,8 +2,11 @@
 
 The information matrix is assembled from exact state derivatives,
 ``F_ij = 4 Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>]``, and its rank
-counts the locally independent state-space directions.  The loss Hessian is
-built as a central finite difference of the exact gradient, then symmetrized.
+counts the locally independent state-space directions.  A closed chain from
+the uniform superposition is a product of n // 2 pair states, so its rank is
+at most 2 (n // 2) and ``freefermion`` computes it; any other chain or input
+state takes the statevector derivative stack.  The loss Hessian is built as
+a central finite difference of the exact gradient, then symmetrized.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from hive_vqe.ansatz import HvaCircuit, derivative_stack, energy_gradient
-from hive_vqe.hamiltonian import PauliSum
+from hive_vqe import freefermion
+from hive_vqe.ansatz import HvaCircuit, _check_theta, derivative_stack, energy_gradient
+from hive_vqe.hamiltonian import Boundary, PauliSum
 from hive_vqe.statevector import StateVector
 
 QFIM_SYMMETRY_TOLERANCE = 1e-9
@@ -97,10 +101,14 @@ def fubini_study_distance(a: StateVector, b: StateVector) -> float:
 
 def qfim(circuit: HvaCircuit, theta, base_state: StateVector | None = None) -> QfimMatrix:
     """Information matrix of the prepared state at one parameter point."""
-    psi, derivatives = derivative_stack(circuit, theta, initial=base_state)
-    gram = derivatives.conj() @ derivatives.T
-    overlaps = derivatives.conj() @ psi
-    entries = 4.0 * (gram - np.outer(overlaps, overlaps.conj())).real
+    theta = _check_theta(circuit, theta)
+    if base_state is None and circuit.boundary is Boundary.CLOSED:
+        entries = freefermion.qfim(circuit.n, theta)
+    else:
+        psi, derivatives = derivative_stack(circuit, theta, initial=base_state)
+        gram = derivatives.conj() @ derivatives.T
+        overlaps = derivatives.conj() @ psi
+        entries = 4.0 * (gram - np.outer(overlaps, overlaps.conj())).real
     return QfimMatrix(0.5 * (entries + entries.T))
 
 

@@ -17,7 +17,8 @@ fermion vacuum, which has even parity, so the momenta are
 A coupling factor is kept without its phase ``exp(-2ia cos k)``, which is
 global to its pair, so every factor has the form ``[[u, v], [-v*, u*]]``.
 A batch of B rows at depth L costs O(B L n) work against O(B L n 2**n) on
-the statevector.
+the statevector.  The information matrix is a sum of 2x2 problems, one per
+pair, so its rank is at most 2 (n // 2) (Larocca et al., arXiv:2105.14377).
 """
 
 from __future__ import annotations
@@ -99,6 +100,22 @@ def batch_energies(spec: TfimSpec, thetas: np.ndarray) -> np.ndarray:
     return _energy(spec, ensure_normalized(np.stack((alpha, beta), axis=-1)))
 
 
+def _factors(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(P, K, 2, 2)`` of one parameter vector and their generators."""
+    params, modes = theta.shape[0], n // 2
+    u = np.empty((params, modes), dtype=np.complex128)
+    v = np.zeros_like(u)
+    u[0::2], v[0::2] = _coupling(n, theta[0::2])
+    u[1::2] = np.exp(-2j * theta[1::2])[:, None]
+    factors = np.stack(
+        (np.stack((u, v), axis=-1), np.stack((-v.conj(), u.conj()), axis=-1)), axis=-2
+    )
+    generators = np.empty((params, modes, 2, 2))
+    generators[0::2] = _coupling_operator(n)
+    generators[1::2] = np.diag([2.0, -2.0])
+    return factors, generators
+
+
 def energy_and_gradient(spec: TfimSpec, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Energy and exact gradient of one checked parameter vector.
 
@@ -110,15 +127,8 @@ def energy_and_gradient(spec: TfimSpec, theta: np.ndarray) -> tuple[float, np.nd
     like the dropped phases, do not change it: ``<lam_j | states[j + 1]>``
     is the real energy.
     """
-    params = theta.shape[0]
-    modes = spec.n // 2
-    u = np.empty((params, modes), dtype=np.complex128)
-    v = np.zeros_like(u)
-    u[0::2], v[0::2] = _coupling(spec.n, theta[0::2])
-    u[1::2] = np.exp(-2j * theta[1::2])[:, None]
-    factors = np.stack(
-        (np.stack((u, v), axis=-1), np.stack((-v.conj(), u.conj()), axis=-1)), axis=-2
-    )
+    factors, generators = _factors(spec.n, theta)
+    params, modes = factors.shape[:2]
     states = np.empty((params + 1, modes, 2, 1), dtype=np.complex128)
     states[0] = [[1.0], [0.0]]
     for j in range(params):
@@ -131,9 +141,26 @@ def energy_and_gradient(spec: TfimSpec, theta: np.ndarray) -> tuple[float, np.nd
     np.matmul(_hamiltonian(spec), psi[..., None], out=lam[-1])
     for j in range(params - 1, 0, -1):
         np.matmul(inverse[j], lam[j], out=lam[j - 1])
-    generators = np.empty((params, modes, 2, 2))
-    generators[0::2] = _coupling_operator(spec.n)
-    generators[1::2] = np.diag([2.0, -2.0])
     image = np.matmul(generators, states[1:])
     grad = 2.0 * (lam.conj() * image).sum(axis=(1, 2, 3)).imag
     return energy, grad
+
+
+def qfim(n: int, theta: np.ndarray) -> np.ndarray:
+    """Information matrix of the n-site closed chain at one checked vector.
+
+    The state is a product of pair states, so the matrix is the sum of the
+    pairs' own.  With prefix products ``U_j = M_j ... M_0``, derivative ``j``
+    of a pair is ``-i U_{P-1} v_j`` where ``v_j = U_j^dag G_j U_j |0>``, so
+    ``F = 4 Re(V^* V^T - m^* m^T)`` with ``V`` the ``v_j`` of all pairs as
+    rows and ``m_j = <0|v_j>`` per pair.  That covariance ignores constants
+    in the generators and the dropped phases.
+    """
+    factors, generators = _factors(n, theta)
+    prefix = factors.copy()
+    for j in range(1, len(factors)):
+        np.matmul(factors[j], prefix[j - 1], out=prefix[j])
+    images = np.matmul(generators, prefix[..., :1])
+    v = np.matmul(prefix.conj().swapaxes(-1, -2), images)[..., 0]
+    rows, m = v.reshape(len(v), -1), v[..., 0]
+    return 4.0 * (rows.conj() @ rows.T - m.conj() @ m.T).real

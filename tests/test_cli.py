@@ -11,6 +11,7 @@ import hive_vqe.harness as harness
 from hive_vqe.cli import main
 from hive_vqe.harness import trace_without_wall_ms
 from hive_vqe.optimizers import ConvergenceTrace, DivergenceError, Termination
+from test_harness import fail_writes_midway
 
 
 def write_config(tmp_path, text):
@@ -208,6 +209,17 @@ def test_plot_cli(tmp_path):
     assert "stroke-dasharray" in svg
     assert "demo" in svg
     assert "iteration" in svg
+
+
+def test_plot_failure_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, TINY)
+    run_dir = tmp_path / "runs"
+    assert main(["run", "--config", config, "--out", str(run_dir)]) == 0
+    out = tmp_path / "plots"
+    fail_writes_midway(monkeypatch, ".svg")
+    assert main(["plot", str(run_dir), "--out", str(out / "out.svg")]) == 2
+    assert "No space" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_plot_missing_trace(tmp_path, capsys):
