@@ -29,7 +29,6 @@ from hive_vqe.harness import (
     save_run,
 )
 from hive_vqe.optimizers import DivergenceError
-from hive_vqe.plotting import render_convergence_svg, series_from_records
 
 USAGE_ERROR = 1
 CONFIG_ERROR = 2
@@ -148,6 +147,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    # Imported here: no other command draws, and plotting pulls in html.
+    from hive_vqe.plotting import render_convergence_svg, series_from_records
+
     series = []
     for raw in args.traces:
         path = Path(raw)

@@ -23,6 +23,8 @@ pair, so its rank is at most 2 (n // 2) (Larocca et al., arXiv:2105.14377).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from hive_vqe.hamiltonian import Boundary, PauliSum, TfimSpec
@@ -41,25 +43,45 @@ def closed_chain_spec(circuit, hamiltonian: PauliSum) -> TfimSpec | None:
     return spec
 
 
-def _momenta(n: int) -> np.ndarray:
-    return (2 * np.arange(n // 2) + 1) * np.pi / n
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
+# The per-chain constants below are built once per chain and shared, read-only.
+@functools.lru_cache(maxsize=32)
+def _momenta(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cos k`` and ``sin k`` of every pair."""
+    k = (2 * np.arange(n // 2) + 1) * np.pi / n
+    return _read_only(np.cos(k)), _read_only(np.sin(k))
+
+
+@functools.lru_cache(maxsize=32)
 def _coupling_operator(n: int) -> np.ndarray:
     """``A_k`` for every pair, shape ``(n // 2, 2, 2)``."""
-    k = _momenta(n)
-    out = np.zeros((k.size, 2, 2))
-    out[:, 0, 1] = out[:, 1, 0] = 2.0 * np.sin(k)
-    out[:, 1, 1] = 4.0 * np.cos(k)
-    return out
+    cos, sin = _momenta(n)
+    out = np.zeros((cos.size, 2, 2))
+    out[:, 0, 1] = out[:, 1, 0] = 2.0 * sin
+    out[:, 1, 1] = 4.0 * cos
+    return _read_only(out)
 
 
+@functools.lru_cache(maxsize=64)
 def _hamiltonian(spec: TfimSpec) -> np.ndarray:
     """``-A_k - 2 h sz`` for every pair."""
     out = -_coupling_operator(spec.n)
     out[:, 0, 0] -= 2.0 * spec.h
     out[:, 1, 1] += 2.0 * spec.h
-    return out
+    return _read_only(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _generators(n: int, params: int) -> np.ndarray:
+    """Generator of each factor, shape ``(P, n // 2, 2, 2)``."""
+    out = np.empty((params, n // 2, 2, 2))
+    out[0::2] = _coupling_operator(n)
+    out[1::2] = np.diag([2.0, -2.0])
+    return _read_only(out)
 
 
 def _coupling(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,10 +90,10 @@ def _coupling(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``exp(-i a A_k)`` is ``cos 2a - i sin 2a (sin k sx - cos k sz)`` times
     the dropped phase.
     """
-    k = _momenta(n)
+    cos_k, sin_k = _momenta(n)
     doubled = 2.0 * angles[..., None]
     sin = np.sin(doubled)
-    return np.cos(doubled) + 1j * (sin * np.cos(k)), -1j * (sin * np.sin(k))
+    return np.cos(doubled) + 1j * (sin * cos_k), -1j * (sin * sin_k)
 
 
 def _energy(spec: TfimSpec, pairs: np.ndarray) -> np.ndarray:
@@ -110,10 +132,7 @@ def _factors(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factors = np.stack(
         (np.stack((u, v), axis=-1), np.stack((-v.conj(), u.conj()), axis=-1)), axis=-2
     )
-    generators = np.empty((params, modes, 2, 2))
-    generators[0::2] = _coupling_operator(n)
-    generators[1::2] = np.diag([2.0, -2.0])
-    return factors, generators
+    return factors, _generators(n, params)
 
 
 def energy_and_gradient(spec: TfimSpec, theta: np.ndarray) -> tuple[float, np.ndarray]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import datetime
 import json
 import os
-import statistics
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -388,6 +387,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     ]
     workers = worker_count(len(jobs))
     rows = [_sweep_job(job) for job in jobs] if workers == 1 else _pool_rows(jobs, workers)
+
+    import statistics  # only the roll-up needs it, so a run does not import it
 
     summary_rows = []
     for qubits, depth in config.sweep_grid:

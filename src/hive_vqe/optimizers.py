@@ -9,15 +9,18 @@ The swarm driver follows the classic bees division of labour.  Scouts seed
 random sites; the best sites recruit foragers that sample a shrinking
 hypercube patch; a site that fails to improve for ``stagnation_limit``
 consecutive cycles is abandoned and recycled.  An abandoned site's fresh
-random position is deliberately not evaluated in the abandonment cycle (it
-carries an infinite placeholder fitness, so it sorts last and is recycled
-through the scout pool next cycle); this keeps the evaluation budget of every
-cycle exactly constant, which the accounting contract requires.
+random position is deliberately not evaluated in the abandonment cycle: it
+carries an infinite placeholder fitness, so it sorts last.  By default the
+scout pool replaces it next cycle, which keeps every cycle's evaluation
+budget exactly constant.  With ``keep_nonselected`` its recycled position is
+evaluated next cycle instead, one extra row per such site.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -99,6 +102,12 @@ class BoaConfig:
     keeps the patch, so productive sites retain their reach.  A site whose
     patch has shrunk through ``stagnation_limit`` consecutive failures is
     abandoned and recycled.
+
+    A cycle costs ``evaluations_per_cycle`` evaluations: 60 at the default
+    shape, or 55 with ``keep_nonselected``, which keeps the non-selected
+    sites instead of re-scouting them.  In that mode a cycle also evaluates
+    the recycled position of each kept site abandoned the cycle before, one
+    extra row each.
     """
 
     scouts: int = 10
@@ -183,8 +192,31 @@ class AdamConfig:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
 
-def _site_stream(seed: int, cycle: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, cycle, index]))
+def _site_streams(seed: int, cycle: int, count: int) -> list[np.random.Generator]:
+    """``default_rng(SeedSequence([seed, cycle, i]))`` for every ``i < count``.
+
+    SeedSequence reads each int as its 32-bit words, low word first, with 0
+    as one word.  Handing it those words as one ``uint32`` row mixes the
+    same pool and skips its slower coercion of Python ints.
+    """
+    words = [(value >> shift) & 0xFFFFFFFF for value in (seed, cycle)
+             for shift in range(0, max(value.bit_length(), 1), 32)]
+    keys = np.empty((count, len(words) + 1), dtype=np.uint32)
+    keys[:, :-1] = words
+    keys[:, -1] = np.arange(count)
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(key))) for key in keys]
+
+
+def _draw(stream: np.random.Generator, out: np.ndarray, low, high) -> None:
+    """``stream.uniform(low, high, out.shape)``, bit for bit, written into ``out``.
+
+    ``uniform`` computes ``low + (high - low) * u`` per element from the same
+    doubles ``u`` that ``random`` yields, so scaling them in place repeats its
+    arithmetic without its per-call bound handling.
+    """
+    stream.random(out=out)
+    out *= high - low
+    out += low
 
 
 def _check_seed(seed: int) -> int:
@@ -197,17 +229,13 @@ def _check_seed(seed: int) -> int:
 def boa_init(config: BoaConfig, objective: Objective, seed: int) -> BoaState:
     """Scatter the initial scout population and rank it."""
     seed = _check_seed(seed)
-    low, high = PARAMETER_BOUNDS
-    positions = np.stack(
-        [
-            _site_stream(seed, 0, i).uniform(low, high, objective.dim)
-            for i in range(config.scouts)
-        ]
-    )
+    positions = np.empty((config.scouts, objective.dim))
+    for stream, row in zip(_site_streams(seed, 0, config.scouts), positions):
+        _draw(stream, row, *PARAMETER_BOUNDS)
     fits = objective.batch_values(positions)
     order = np.argsort(fits, kind="stable")
     sites = tuple(
-        Site(positions[i], float(fits[i]), 0, config.initial_patch) for i in order
+        Site(positions[i].copy(), float(fits[i]), 0, config.initial_patch) for i in order
     )
     return BoaState(
         sites=sites,
@@ -230,33 +258,42 @@ def boa_cycle(state: BoaState, config: BoaConfig, objective: Objective) -> BoaSt
         )
     low, high = PARAMETER_BOUNDS
     cycle = state.cycle + 1
-    streams = [_site_stream(state.seed, cycle, i) for i in range(config.scouts)]
+    streams = _site_streams(state.seed, cycle, config.scouts)
 
-    # One candidate block per rank, best site first: foragers for each selected
-    # site, then a one-row scout draw for each other site unless it is kept.
-    blocks: list[np.ndarray] = []
+    # Candidate rows per rank, best site first, in one buffer: foragers for
+    # each selected site, then one scout draw for each other site, or, when it
+    # is kept, its recycled position if that has not been evaluated yet.
+    counts = [
+        (config.elite_foragers if rank < config.elite_sites else config.site_foragers)
+        if rank < config.selected_sites
+        else int(not config.keep_nonselected or math.isinf(site.fitness))
+        for rank, site in enumerate(state.sites)
+    ]
+    offsets = [0, *itertools.accumulate(counts)]
+    stacked = np.empty((offsets[-1], objective.dim))
     for rank, site in enumerate(state.sites):
+        block = stacked[offsets[rank] : offsets[rank + 1]]
         if rank < config.selected_sites:
-            recruits = config.elite_foragers if rank < config.elite_sites else config.site_foragers
             box_low = np.maximum(low, site.position - site.patch_width)
             box_high = np.minimum(high, site.position + site.patch_width)
-            blocks.append(streams[rank].uniform(box_low, box_high, (recruits, objective.dim)))
+            _draw(streams[rank], block, box_low, box_high)
         elif not config.keep_nonselected:
-            blocks.append(streams[rank].uniform(low, high, (1, objective.dim)))
-    stacked = np.vstack(blocks)
+            _draw(streams[rank], block, low, high)
+        elif len(block):
+            block[0] = site.position
     values = objective.batch_values(stacked)
 
     new_sites = list(state.sites)
-    offset = 0
-    for rank, (site, block) in enumerate(zip(state.sites, blocks)):
-        block_values = values[offset : offset + len(block)]
-        offset += len(block)
+    for rank, site in enumerate(state.sites):
+        start, stop = offsets[rank], offsets[rank + 1]
         if rank >= config.selected_sites:
-            new_sites[rank] = Site(block[0], float(block_values[0]), 0, config.initial_patch)
+            if stop > start:
+                position, fitness = stacked[start].copy(), float(values[start])
+                new_sites[rank] = Site(position, fitness, 0, config.initial_patch)
             continue
-        j = int(np.argmin(block_values))
-        if block_values[j] < site.fitness:
-            new_sites[rank] = Site(block[j].copy(), float(block_values[j]), 0, site.patch_width)
+        j = start + int(np.argmin(values[start:stop]))
+        if values[j] < site.fitness:
+            new_sites[rank] = Site(stacked[j].copy(), float(values[j]), 0, site.patch_width)
         elif site.stagnation + 1 >= config.stagnation_limit:
             position = streams[rank].uniform(low, high, objective.dim)
             new_sites[rank] = Site(position, float("inf"), 0, config.initial_patch)

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +228,21 @@ def test_plot_failure_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
 def test_plot_missing_trace(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "x.svg")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_run_leaves_plotting_and_statistics_unimported(tmp_path):
+    """A fresh interpreter's ``run`` imports neither the plotter nor the roll-up helpers."""
+    config = write_config(tmp_path, TINY)
+    script = (
+        "import sys\n"
+        "from hive_vqe import cli\n"
+        f"assert cli.main(['run', '--config', {config!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(sorted({'hive_vqe.plotting', 'html', 'statistics'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,13 +1,23 @@
 """The momentum pseudo-spin engine against the statevector, and its dispatch."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from hive_vqe import freefermion, loss
 from hive_vqe.ansatz import HvaCircuit, energy_and_gradient, prepare_amplitudes
 from hive_vqe.freefermion import closed_chain_spec
-from hive_vqe.hamiltonian import Boundary, PauliString, PauliSum, TfimSpec, build_tfim
-from hive_vqe.loss import vqe_energy_batch
+from hive_vqe.hamiltonian import (
+    Boundary,
+    PauliString,
+    PauliSum,
+    TfimSpec,
+    build_tfim,
+    exact_ground_energy,
+)
+from hive_vqe.loss import VqeObjective, vqe_energy_batch
+from hive_vqe.optimizers import BoaConfig, run_optimization
 
 RTOL = 1e-12
 
@@ -123,3 +133,34 @@ def test_gradient_keeps_the_input_checks():
         energy_and_gradient(circuit, np.zeros(5), hamiltonian)
     with pytest.raises(ValueError, match="finite"):
         energy_and_gradient(circuit, np.full(6, np.nan), hamiltonian)
+
+
+def test_chain_constants_are_shared_and_read_only():
+    spec = TfimSpec(n=6, h=1.1)
+    constants = [
+        *freefermion._momenta(6),
+        freefermion._coupling_operator(6),
+        freefermion._hamiltonian(spec),
+        freefermion._generators(6, 20),
+    ]
+    assert freefermion._hamiltonian(TfimSpec(n=6, h=1.1)) is constants[3]
+    for array in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    theta = np.random.default_rng(2).uniform(-np.pi, np.pi, 20)
+    _, generators = freefermion._factors(6, theta)
+    assert generators is constants[4]
+
+
+def test_pair_engine_swarm_run_is_pinned():
+    """6x10 closed chain, h = 1.1, seed 1: the swarm's whole run, bit for bit."""
+    spec = TfimSpec(n=6, h=1.1, boundary=Boundary.CLOSED)
+    objective = VqeObjective(
+        HvaCircuit(n=6, layers=10), build_tfim(spec), reference=exact_ground_energy(spec)
+    )
+    trace = run_optimization(objective, BoaConfig(), seed=1, max_iterations=300, target=1e-6)
+    assert trace.reached_target
+    assert (trace.iterations, trace.records[-1].evaluations) == (66, 3970)
+    assert trace.records[-1].best_energy == -8.13450463915409
+    digest = hashlib.sha256(trace.best_parameters.tobytes()).hexdigest()
+    assert digest == "0a953aa3aa16c89041652b98d9f6a8140f4632c7e4635b90f6ee32132ded9b0a"

@@ -1,10 +1,13 @@
 """Swarm search mechanics, gradient stepping, traces, and determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
-from hive_vqe.loss import Objective
+from hive_vqe.loss import PARAMETER_BOUNDS, Objective
 from hive_vqe.optimizers import (
+    SEED_LIMIT,
     AdamConfig,
     BoaConfig,
     DivergenceError,
@@ -15,6 +18,7 @@ from hive_vqe.optimizers import (
     quantize15,
     run_optimization,
 )
+from hive_vqe.optimizers import _draw, _site_streams
 
 
 class Quadratic(Objective):
@@ -204,29 +208,74 @@ def test_boa_cycle_keeps_nonselected_sites():
     config = BoaConfig(keep_nonselected=True, stagnation_limit=2)
     objective = Quadratic(dim=3)
     state = boa_init(config, objective, seed=11)
-    for _ in range(6):
+    waited = 0
+    for _ in range(12):
+        kept = state.sites[config.selected_sites :]
+        waiting = sum(math.isinf(site.fitness) for site in kept)
+        waited += waiting
         before = objective.evaluations
         after = boa_cycle(state, config, objective)
-        assert objective.evaluations - before == 55
-        for kept in state.sites[config.selected_sites :]:
+        assert objective.evaluations - before == 55 + waiting
+        for site in kept:
+            fitness = objective._value(site.position) if math.isinf(site.fitness) else site.fitness
             assert any(
-                np.array_equal(site.position, kept.position)
-                and (site.fitness, site.stagnation, site.patch_width)
-                == (kept.fitness, kept.stagnation, kept.patch_width)
-                for site in after.sites
+                np.array_equal(new.position, site.position)
+                and (new.fitness, new.stagnation, new.patch_width)
+                == (fitness, site.stagnation, site.patch_width)
+                for new in after.sites
             )
         state = after
+    assert waited > 0
+
+
+def test_kept_sites_evaluate_their_recycled_position_next_cycle():
+    config = BoaConfig(keep_nonselected=True, stagnation_limit=3)
+    objective = Quadratic(dim=3)
+    state = boa_init(config, objective, seed=17)
+    abandoned = 0
+    for _ in range(40):
+        waiting = [site.position for site in state.sites if math.isinf(site.fitness)]
+        state = boa_cycle(state, config, objective)
+        now = [site.position for site in state.sites if math.isinf(site.fitness)]
+        abandoned += len(now)
+        assert not any(np.array_equal(a, b) for a in waiting for b in now)
+    assert abandoned > 0
 
 
 @pytest.mark.parametrize(
     "keep, energy, evaluations",
-    [(False, 0.000224494680969457, 2410), (True, 0.00105485928024023, 2210)],
+    [(False, 0.000224494680969457, 2410), (True, 0.00101453011614621, 2221)],
 )
 def test_boa_trajectory_is_pinned(keep, energy, evaluations):
     config = BoaConfig(keep_nonselected=keep, stagnation_limit=3)
     trace = run_optimization(Quadratic(3), config, seed=17, max_iterations=40, target=1e-12)
     assert trace.records[-1].best_energy == energy
     assert trace.records[-1].evaluations == evaluations
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 7, SEED_LIMIT - 1])
+@pytest.mark.parametrize("cycle", [0, 1, 2**32 - 1, 2**32, 2**33 + 5])
+def test_site_streams_match_seed_sequence_streams(seed, cycle):
+    streams = _site_streams(seed, cycle, 12)
+    assert len(streams) == 12
+    for index, stream in enumerate(streams):
+        reference = np.random.default_rng(np.random.SeedSequence([seed, cycle, index]))
+        assert stream.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("width", [0.05, 0.5, np.pi])
+def test_draw_matches_uniform_bit_for_bit(width):
+    low, high = PARAMETER_BOUNDS
+    center = np.array([-3.1, -1.0, 0.0, 0.3, 3.05, high, low])
+    box_low = np.maximum(low, center - width)
+    box_high = np.minimum(high, center + width)
+    [drawn], [reference] = _site_streams(5, 9, 1), _site_streams(5, 9, 1)
+    block = np.empty((15, center.size))
+    _draw(drawn, block, box_low, box_high)
+    expected = reference.uniform(box_low, box_high, block.shape)
+    assert block.tobytes() == expected.tobytes()
+    _draw(drawn, block[:1], low, high)
+    assert block[:1].tobytes() == reference.uniform(low, high, (1, center.size)).tobytes()
 
 
 def test_run_optimization_boa_quadratic():
