@@ -36,7 +36,6 @@ import numpy as np
 from hive_vqe import freefermion
 from hive_vqe.hamiltonian import Boundary, PauliSum, check_qubit_count
 from hive_vqe.statevector import (
-    LayerBuffers,
     StateVector,
     apply_coupling_generator,
     apply_field_generator,
@@ -76,12 +75,10 @@ def _check_theta(circuit: HvaCircuit, theta) -> np.ndarray:
     return theta
 
 
-def _apply_factor(
-    circuit: HvaCircuit, index: int, angle, amplitudes: np.ndarray, buffers: LayerBuffers
-) -> np.ndarray:
+def _apply_factor(circuit: HvaCircuit, index: int, angle, amplitudes: np.ndarray) -> np.ndarray:
     if index % 2 == 0:
-        return apply_zz_layer(amplitudes, angle, circuit.n, circuit.boundary, buffers)
-    return apply_x_layer(amplitudes, angle, circuit.n, buffers)
+        return apply_zz_layer(amplitudes, angle, circuit.n, circuit.boundary)
+    return apply_x_layer(amplitudes, angle, circuit.n)
 
 
 def _apply_generator(circuit: HvaCircuit, index: int, amplitudes: np.ndarray) -> np.ndarray:
@@ -95,10 +92,9 @@ def apply_circuit(circuit: HvaCircuit, theta, state: StateVector) -> StateVector
     theta = _check_theta(circuit, theta)
     if state.n != circuit.n:
         raise ValueError(f"state has {state.n} qubits, circuit expects {circuit.n}")
-    amps = np.array(state.amplitudes)
-    buffers = LayerBuffers(amps.shape, (), circuit.n)
+    amps = state.amplitudes
     for j in range(circuit.n_params):
-        amps = _apply_factor(circuit, j, float(theta[j]), amps, buffers)
+        amps = _apply_factor(circuit, j, float(theta[j]), amps)
     return StateVector(circuit.n, ensure_normalized(amps))
 
 
@@ -120,17 +116,12 @@ def check_parameter_rows(circuit: HvaCircuit, thetas) -> np.ndarray:
 
 
 def prepare_amplitudes(circuit: HvaCircuit, thetas: np.ndarray) -> np.ndarray:
-    """Batched trial-state amplitudes, one parameter row per output row.
-
-    The layers update one freshly allocated batch in place, so the sweep
-    allocates its batch-sized arrays once per call, not once per layer.
-    """
+    """Batched trial-state amplitudes, one parameter row per output row."""
     thetas = check_parameter_rows(circuit, thetas)
     dim = 1 << circuit.n
     amps = np.full((thetas.shape[0], dim), 2.0 ** (-circuit.n / 2.0), dtype=np.complex128)
-    buffers = LayerBuffers(amps.shape, amps.shape[:-1], circuit.n)
     for j in range(circuit.n_params):
-        amps = _apply_factor(circuit, j, thetas[:, j], amps, buffers)
+        amps = _apply_factor(circuit, j, thetas[:, j], amps)
     return ensure_normalized(amps)
 
 
@@ -148,10 +139,9 @@ def state_derivative(
     start = plus_state(circuit.n) if initial is None else initial
     if start.n != circuit.n:
         raise ValueError(f"state has {start.n} qubits, circuit expects {circuit.n}")
-    amps = np.array(start.amplitudes)
-    buffers = LayerBuffers(amps.shape, (), circuit.n)
+    amps = start.amplitudes
     for j in range(circuit.n_params):
-        amps = _apply_factor(circuit, j, float(theta[j]), amps, buffers)
+        amps = _apply_factor(circuit, j, float(theta[j]), amps)
         if j == index:
             amps = -1j * _apply_generator(circuit, j, amps)
     return StateVector(circuit.n, amps)
@@ -166,9 +156,9 @@ def derivative_stack(
     state.  Factor ``j`` runs once on the leading ``j + 1`` rows with its
     shared angle, then row ``j + 1`` is set to ``-i G_j`` times row 0, so
     every row later meets the same factors as row 0.  That is P kernel calls
-    on about P**2 / 2 rows in all, through one set of buffers, where the
-    parameter-by-parameter form makes P**2 single-row calls.  ``initial``
-    defaults to the uniform superposition.
+    on about P**2 / 2 rows in all, where the parameter-by-parameter form
+    makes P**2 single-row calls.  ``initial`` defaults to the uniform
+    superposition.
     """
     theta = _check_theta(circuit, theta)
     start = plus_state(circuit.n) if initial is None else initial
@@ -176,9 +166,8 @@ def derivative_stack(
         raise ValueError(f"state has {start.n} qubits, circuit expects {circuit.n}")
     stack = np.empty((circuit.n_params + 1, 1 << circuit.n), dtype=np.complex128)
     stack[0] = start.amplitudes
-    buffers = LayerBuffers(stack.shape, (), circuit.n)
     for j in range(circuit.n_params):
-        _apply_factor(circuit, j, float(theta[j]), stack[: j + 1], buffers.leading(j + 1))
+        stack[: j + 1] = _apply_factor(circuit, j, float(theta[j]), stack[: j + 1])
         stack[j + 1] = -1j * _apply_generator(circuit, j, stack[0])
     return ensure_normalized(stack[0]), stack[1:]
 
@@ -206,10 +195,8 @@ def energy_and_gradient(
         return freefermion.energy_and_gradient(spec, theta)
     states = np.empty((circuit.n_params + 1, 1 << circuit.n), dtype=np.complex128)
     states[0] = 2.0 ** (-circuit.n / 2.0)
-    buffers = LayerBuffers(states.shape[1:], (), circuit.n)
     for j in range(circuit.n_params):
-        states[j + 1] = states[j]
-        _apply_factor(circuit, j, float(theta[j]), states[j + 1], buffers)
+        states[j + 1] = _apply_factor(circuit, j, float(theta[j]), states[j])
     psi = ensure_normalized(states[-1])
     lam = hamiltonian.apply(psi)
     energy = float(np.vdot(psi, lam).real)
@@ -217,7 +204,7 @@ def energy_and_gradient(
     for j in reversed(range(circuit.n_params)):
         grad[j] = 2.0 * float(np.vdot(lam, _apply_generator(circuit, j, states[j + 1])).imag)
         if j:
-            lam = _apply_factor(circuit, j, -float(theta[j]), lam, buffers)
+            lam = _apply_factor(circuit, j, -float(theta[j]), lam)
     return energy, grad
 
 

@@ -282,10 +282,6 @@ class TfimSpec:
         if not np.isfinite(self.h):
             raise ValueError("transverse field strength must be finite")
 
-    @property
-    def coupling_count(self) -> int:
-        return self.boundary.coupling_count(self.n)
-
 
 def build_tfim(spec: TfimSpec) -> PauliSum:
     """Assemble the chain Hamiltonian as a Pauli sum.
@@ -294,7 +290,7 @@ def build_tfim(spec: TfimSpec) -> PauliSum:
     terms vanish and are dropped.
     """
     terms = []
-    for i in range(spec.coupling_count):
+    for i in range(spec.boundary.coupling_count(spec.n)):
         letters = ["I"] * spec.n
         letters[i] = "Z"
         letters[(i + 1) % spec.n] = "Z"

@@ -1,33 +1,26 @@
 """Dense complex statevector engine for chains of 2 to 12 qubits.
 
-Each circuit generator is diagonal in a known basis, so no matrix
-exponential is ever formed.  The coupling sum ``sum Z_i Z_{i+1}`` is diagonal
-in the computational basis: its layer multiplies each amplitude by a phase
-drawn from a precomputed integer table of summed bond eigenvalues.  The field
-sum ``sum X_i`` is diagonal in the Hadamard basis, and both that basis and
-the diagonal split over the first ``k = n // 2`` qubits and the rest.  So the
-transform, phase and transform of the field layer fold into one small matrix
-per half, ``exp(-i a sum X) = R^(x)k (x) R^(x)(n-k)`` with
-``R = exp(-i a X)``, and the layer is two complex matrix products on a
-``(2**k, 2**(n-k))`` view of the amplitudes.  An entry of ``R^(x)k`` depends
-only on the Hamming distance of its indices, so the ``k + 1`` distinct
-values are computed and gathered.  Every kernel accepts leading batch axes
-(one parameter row per batch row), which is what makes population-based
-optimization cheap.  Given ``LayerBuffers``, the two layer kernels update
-the amplitudes in place and allocate nothing of the batch's size, so a
-sweep over many layers reuses the same few arrays; without them, a kernel
-updates a fresh copy and leaves its input as it was.
+This is the reference engine: it serves the open chain, arbitrary Pauli sums
+and arbitrary input states, and cross-checks the pair engine of
+``freefermion``.  Each circuit generator is diagonal in a known basis, so no
+matrix exponential is ever formed.  The coupling sum ``sum Z_i Z_{i+1}`` is
+diagonal in the computational basis, with eigenvalue ``sum_bonds z_i z_j``
+on basis state ``b``.  The field sum ``sum X_i`` is diagonal in the Hadamard
+basis, with eigenvalue ``n - 2 * popcount(b)``, so its layer is a phase
+between two ``hamiltonian.walsh_hadamard`` transforms.  Both eigenvalue
+tables are small integers, so a layer exponentiates only the distinct values
+and gathers.  Every kernel accepts leading batch axes (one parameter row per
+batch row), returns a new array and leaves its input as it was.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from hive_vqe.hamiltonian import Boundary, PauliSum, check_qubit_count
+from hive_vqe.hamiltonian import Boundary, PauliSum, check_qubit_count, walsh_hadamard
 
 NORM_DRIFT_TOLERANCE = 1e-8
 
@@ -66,179 +59,61 @@ def plus_state(n: int) -> StateVector:
 
 
 @functools.lru_cache(maxsize=None)
-def _zz_structure(n: int, boundary: Boundary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integer table of summed bond eigenvalues, plus gather helpers.
+def _spectrum(n: int, boundary: Boundary | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer eigenvalues of one generator on every basis state, plus gather helpers.
 
-    Returns ``(table, gather_index, k_values)`` where ``table[b]`` is the sum
-    of ``z_i z_{i+1}`` over all bonds for basis state ``b`` and
-    ``k_values[gather_index] == table``.
+    ``boundary`` selects the bond sum ``sum z_i z_{i+1}`` in the computational
+    basis; ``None`` selects the field sum ``sum z_i = n - 2 * popcount(b)`` in
+    the Hadamard basis.  Returns read-only ``(table, gather, values)`` with
+    ``values[gather] == table`` and ``values`` the range of eigenvalues.
     """
     check_qubit_count(n)
-    idx = np.arange(1 << n)
-    bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     z = 1 - 2 * bits
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    if boundary is Boundary.CLOSED:
-        pairs.append((n - 1, 0))
-    table = np.zeros(1 << n, dtype=np.int64)
-    for a, b in pairs:
-        table += z[:, a] * z[:, b]
-    k_values = np.arange(table.min(), table.max() + 1)
-    table.flags.writeable = False
-    return table, table - table.min(), k_values
+    if boundary is None:
+        table = z.sum(axis=1)
+    else:
+        table = sum(z[:, i] * z[:, (i + 1) % n] for i in range(boundary.coupling_count(n)))
+    arrays = table, table - table.min(), np.arange(table.min(), table.max() + 1)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
-class LayerBuffers:
-    """Arrays that let the layer kernels update a batch of amplitudes in place.
-
-    ``shape`` is that of the amplitudes and ``angle_shape`` that of the layer
-    angle: the batch shape for one angle per row, or ``()`` for one angle
-    shared by every row.  ``scratch`` holds the field layer's intermediate
-    product, and its leading rows receive the coupling layer's gathered
-    phases (``phases``, one row per angle).  ``left`` and ``right`` hold the
-    rotation powers of the two register halves, one per angle; they are one
-    array when the halves are equal.
-    """
-
-    def __init__(self, shape: tuple[int, ...], angle_shape: tuple[int, ...], n: int) -> None:
-        k, m = _half_sizes(n)
-        self.scratch = np.empty(shape, dtype=np.complex128)
-        self.phases = self.scratch[(0,) * (len(shape) - 1 - len(angle_shape))]
-        self.left = np.empty(angle_shape + (1 << k, 1 << k), dtype=np.complex128)
-        self.right = (
-            self.left if m == k else np.empty(angle_shape + (1 << m, 1 << m), dtype=np.complex128)
-        )
-
-    def leading(self, rows: int) -> LayerBuffers:
-        """These buffers of one shared angle, cut to the first ``rows`` rows.
-
-        The cut shares this memory, so a sweep over a growing block of rows
-        allocates nothing per step.
-        """
-        view = copy.copy(self)
-        view.scratch = self.scratch[:rows]
-        return view
+def _phases(angle, n: int, boundary: Boundary | None, scale: float = 1.0) -> np.ndarray:
+    """``scale * exp(-i * angle * table)``, with the leading axes of ``angle``."""
+    _, gather, values = _spectrum(n, boundary)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(angle, dtype=np.float64), values))
+    return np.take(phases * scale, gather, axis=-1)
 
 
-def _layer_target(
-    amplitudes: np.ndarray, angle, n: int, buffers: LayerBuffers | None
-) -> tuple[np.ndarray, LayerBuffers]:
-    """The array a layer kernel overwrites, and the buffers it uses.
-
-    Without ``buffers`` that is a fresh C-ordered copy with buffers of its
-    own.  With them it is ``amplitudes`` itself, which must then be a
-    writeable C-contiguous complex128 array of the buffers' shape: anything
-    else would make the kernel write into a copy and drop the layer.
-    """
-    if buffers is None:
-        amplitudes = np.array(amplitudes, dtype=np.complex128, order="C")
-        return amplitudes, LayerBuffers(amplitudes.shape, np.shape(angle), n)
-    if not (
-        isinstance(amplitudes, np.ndarray)
-        and amplitudes.dtype == np.complex128
-        and amplitudes.flags.c_contiguous
-        and amplitudes.flags.writeable
-        and amplitudes.shape == buffers.scratch.shape
-    ):
-        raise ValueError(
-            "in-place layers need a writeable C-contiguous complex128 array of shape "
-            f"{buffers.scratch.shape}"
-        )
-    return amplitudes, buffers
-
-
-def apply_zz_layer(
-    amplitudes: np.ndarray, angle, n: int, boundary: Boundary, buffers: LayerBuffers | None = None
-) -> np.ndarray:
+def apply_zz_layer(amplitudes: np.ndarray, angle, n: int, boundary: Boundary) -> np.ndarray:
     """Phase kernel exp(-i * angle * sum_bonds Z Z) on the last axis.
 
     ``angle`` may be a scalar or carry the batch shape of the leading axes.
-    With ``buffers`` the result overwrites ``amplitudes``, which is returned.
     """
-    amplitudes, buffers = _layer_target(amplitudes, angle, n, buffers)
-    _, gather, k_values = _zz_structure(n, boundary)
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(angle, dtype=np.float64), k_values))
-    np.take(phases, gather, axis=-1, out=buffers.phases, mode="clip")
-    return np.multiply(amplitudes, buffers.phases, out=amplitudes)
+    return np.asarray(amplitudes, dtype=np.complex128) * _phases(angle, n, boundary)
 
 
-@functools.lru_cache(maxsize=None)
-def _hamming(k: int) -> np.ndarray:
-    """Hamming distance ``popcount(r ^ c)`` of every pair of k-bit indices."""
-    idx = np.arange(1 << k)
-    flips = idx[:, None] ^ idx[None, :]
-    distance = np.zeros_like(flips)
-    for q in range(k):
-        distance += (flips >> q) & 1
-    distance.flags.writeable = False
-    return distance
-
-
-def _half_sizes(n: int) -> tuple[int, int]:
-    check_qubit_count(n)
-    return n // 2, n - n // 2
-
-
-def _rotation_power(angle, k: int, out: np.ndarray) -> np.ndarray:
-    """``exp(-i * angle * sum X_i)`` on k qubits, with the leading axes of ``angle``.
-
-    Entry ``[r, c]`` is ``cos**(k - d) * (-i sin)**d`` for ``d = popcount(r ^ c)``.
-    The matrices are written into ``out``.
-    """
-    angle = np.asarray(angle, dtype=np.float64)[..., None]
-    factors = np.empty(angle.shape[:-1] + (2, k + 1), dtype=np.complex128)
-    factors[..., 0, :] = np.cos(angle)
-    factors[..., 1, :] = -1j * np.sin(angle)
-    factors[..., 0] = 1.0
-    powers = np.cumprod(factors, axis=-1)  # cos**d and (-i sin)**d for d = 0..k
-    values = powers[..., 0, ::-1] * powers[..., 1, :]
-    return np.take(values, _hamming(k), axis=-1, out=out, mode="clip")
-
-
-def apply_x_layer(
-    amplitudes: np.ndarray, angle, n: int, buffers: LayerBuffers | None = None
-) -> np.ndarray:
+def apply_x_layer(amplitudes: np.ndarray, angle, n: int) -> np.ndarray:
     """Rotation kernel exp(-i * angle * sum_i X_i) on the last axis.
 
     ``angle`` may be a scalar or carry the batch shape of the leading axes.
-    With ``buffers`` the result overwrites ``amplitudes``, which is returned.
+    The ``2**-n`` of the two unnormalized transforms is folded into the phases.
     """
-    amplitudes, buffers = _layer_target(amplitudes, angle, n, buffers)
-    k, m = _half_sizes(n)
-    grid = amplitudes.reshape(amplitudes.shape[:-1] + (1 << k, 1 << m))
-    left = _rotation_power(angle, k, out=buffers.left)
-    right = left if m == k else _rotation_power(angle, m, out=buffers.right)
-    half = buffers.scratch.reshape(grid.shape)
-    np.matmul(left, grid, out=half)
-    np.matmul(half, right, out=grid)
-    return amplitudes
-
-
-@functools.lru_cache(maxsize=None)
-def _field_sum(k: int) -> np.ndarray:
-    """``sum X_i`` on k qubits: ones where the indices differ in exactly one bit."""
-    matrix = (_hamming(k) == 1).astype(np.complex128)
-    matrix.flags.writeable = False
-    return matrix
+    return walsh_hadamard(_phases(angle, n, None, 2.0**-n) * walsh_hadamard(amplitudes))
 
 
 def apply_coupling_generator(amplitudes: np.ndarray, n: int, boundary: Boundary) -> np.ndarray:
     """Action of the bond sum ``sum Z_i Z_{i+1}`` (diagonal integer table)."""
-    table, _, _ = _zz_structure(n, boundary)
+    table, _, _ = _spectrum(n, boundary)
     return np.asarray(amplitudes, dtype=np.complex128) * table
 
 
 def apply_field_generator(amplitudes: np.ndarray, n: int) -> np.ndarray:
-    """Action of the field sum ``sum X_i``, split as ``S_k (x) 1 + 1 (x) S_(n-k)``.
-
-    ``S_k`` is the field sum on the k qubits of one half of the register.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-    k, m = _half_sizes(n)
-    grid = amplitudes.reshape(amplitudes.shape[:-1] + (1 << k, 1 << m))
-    out = _field_sum(k) @ grid
-    out += grid @ _field_sum(m)
-    return out.reshape(amplitudes.shape)
+    """Action of the field sum ``sum X_i``: its table between two transforms."""
+    table, _, _ = _spectrum(n, None)
+    return walsh_hadamard(table * 2.0**-n * walsh_hadamard(amplitudes))
 
 
 def ensure_normalized(amplitudes: np.ndarray) -> np.ndarray:

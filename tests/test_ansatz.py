@@ -69,8 +69,6 @@ def test_apply_circuit_on_arbitrary_state():
 
 
 def test_prepare_amplitudes_batches_rows():
-    # The layers run in place on buffers each call allocates afresh.  Odd n
-    # has register halves of different sizes, so two rotation buffers.
     rng = np.random.default_rng(23)
     for n, layers, boundary in ((4, 3, Boundary.CLOSED), (5, 2, Boundary.OPEN)):
         circuit = HvaCircuit(n=n, layers=layers, boundary=boundary)

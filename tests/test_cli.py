@@ -11,7 +11,9 @@ import pytest
 
 import hive_vqe.cli as cli
 import hive_vqe.harness as harness
+from hive_vqe import ansatz, diagnostics, loss
 from hive_vqe.cli import main
+from hive_vqe.hamiltonian import PauliSum
 from hive_vqe.harness import trace_without_wall_ms
 from hive_vqe.optimizers import ConvergenceTrace, DivergenceError, Termination
 from test_harness import fail_writes_midway
@@ -185,6 +187,36 @@ def test_diagnose_cli(tmp_path, capsys):
     for name in ("qfim.csv", "hessian.csv", "spectrum.txt", "theta.txt"):
         assert (out / name).is_file()
     assert "qfim_rank=" in capsys.readouterr().out
+
+
+# Every entry point of the statevector engine that a command could reach.
+STATEVECTOR_ENTRIES = [
+    (ansatz, "apply_x_layer"),
+    (ansatz, "apply_zz_layer"),
+    (ansatz, "apply_coupling_generator"),
+    (ansatz, "apply_field_generator"),
+    (loss, "prepare_amplitudes"),
+    (diagnostics, "derivative_stack"),
+    (PauliSum, "apply"),
+    (PauliSum, "expectation"),
+]
+
+
+def test_closed_chain_commands_never_reach_the_statevector(tmp_path, monkeypatch):
+    """Swarm, Adam and diagnose on a closed chain run on the pair engine alone."""
+    def refuse(name):
+        def entry(*args, **kwargs):
+            raise AssertionError(f"closed-chain command reached the statevector: {name}")
+        return entry
+
+    for owner, name in STATEVECTOR_ENTRIES:
+        monkeypatch.setattr(owner, name, refuse(name))
+    cell = "qubits = 4\ndepth = 4\nboundary = closed\n"
+    for optimizer in ("boa", "adam"):
+        config = write_config(tmp_path, cell + f"optimizer = {optimizer}\nmax_iterations = 5\n")
+        assert main(["run", "--config", config, "--out", str(tmp_path / optimizer)]) == 4
+    config = write_config(tmp_path, cell)
+    assert main(["diagnose", "--config", config, "--out", str(tmp_path / "diag")]) == 0
 
 
 def test_diagnose_theta_file_errors(tmp_path, capsys):

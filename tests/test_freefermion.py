@@ -17,7 +17,7 @@ from hive_vqe.hamiltonian import (
     exact_ground_energy,
 )
 from hive_vqe.loss import VqeObjective, vqe_energy_batch
-from hive_vqe.optimizers import BoaConfig, run_optimization
+from hive_vqe.optimizers import AdamConfig, BoaConfig, Termination, run_optimization
 
 RTOL = 1e-12
 
@@ -164,3 +164,20 @@ def test_pair_engine_swarm_run_is_pinned():
     assert trace.records[-1].best_energy == -8.13450463915409
     digest = hashlib.sha256(trace.best_parameters.tobytes()).hexdigest()
     assert digest == "0a953aa3aa16c89041652b98d9f6a8140f4632c7e4635b90f6ee32132ded9b0a"
+
+
+@pytest.mark.parametrize(
+    "method, evaluations, energy",
+    [(BoaConfig(), 18010, -5.08761308783809), (AdamConfig(), 600, -5.08642119381044)],
+)
+def test_open_chain_run_is_pinned(method, evaluations, energy):
+    """4x4 open chain, h = 1.1, seed 1: a whole run on the statevector engine."""
+    spec = TfimSpec(n=4, h=1.1, boundary=Boundary.OPEN)
+    objective = VqeObjective(
+        HvaCircuit(n=4, layers=4, boundary=Boundary.OPEN), build_tfim(spec),
+        reference=exact_ground_energy(spec),
+    )
+    trace = run_optimization(objective, method, seed=1, max_iterations=300, target=1e-6)
+    assert trace.terminated_by is Termination.MAX_ITERATIONS
+    assert (trace.iterations, trace.records[-1].evaluations) == (300, evaluations)
+    assert trace.records[-1].best_energy == pytest.approx(energy, rel=RTOL, abs=0)

@@ -20,9 +20,6 @@ PACKAGE = ROOT / "src" / "hive_vqe"
 TEST_ONLY = {
     "ansatz.apply_circuit": "arbitrary input states stay on the statevector; test_ansatz checks them",
     "ansatz.state_derivative": "the one-parameter reference test_ansatz holds derivative_stack to",
-    "hamiltonian.walsh_hadamard": "the Hadamard-basis reduction of PauliSum; checked against a dense transform",
-    "hamiltonian.Boundary.coupling_count": "build_tfim's bond count; the dense test oracle counts bonds with it",
-    "hamiltonian.TfimSpec.coupling_count": "build_tfim's bond count; test_hamiltonian pins it per boundary",
     "hamiltonian.PauliSum.to_dense": "the dense reference the operator and layer tests compare against",
     "harness.write_trace_csv": "save_run's trace writer; test_harness round-trips the pinned format",
     "harness.cell_name": "sweep cell directory names, which the sweep tests look up",
