@@ -31,7 +31,7 @@ def reordered(hamiltonian):
     return PauliSum(hamiltonian.n, hamiltonian.terms[::-1])
 
 
-@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("layers", [1, 3, 26])
 @pytest.mark.parametrize("h", [0.0, 1.1, -0.7])
 @pytest.mark.parametrize("n", range(2, 13))
 def test_engine_matches_statevector(n, h, layers, monkeypatch):
@@ -164,6 +164,18 @@ def test_pair_engine_swarm_run_is_pinned():
     assert trace.records[-1].best_energy == -8.13450463915409
     digest = hashlib.sha256(trace.best_parameters.tobytes()).hexdigest()
     assert digest == "0a953aa3aa16c89041652b98d9f6a8140f4632c7e4635b90f6ee32132ded9b0a"
+
+
+def test_pair_engine_adam_run_is_pinned():
+    """6x10 closed chain, h = 1.1, seed 1: Adam's whole run on the pair gradients."""
+    spec = TfimSpec(n=6, h=1.1, boundary=Boundary.CLOSED)
+    objective = VqeObjective(
+        HvaCircuit(n=6, layers=10), build_tfim(spec), reference=exact_ground_energy(spec)
+    )
+    trace = run_optimization(objective, AdamConfig(), seed=1, max_iterations=300, target=1e-6)
+    assert trace.terminated_by is Termination.TARGET_REACHED
+    assert (trace.iterations, trace.records[-1].evaluations) == (154, 308)
+    assert trace.records[-1].best_energy == pytest.approx(-8.13450472132746, rel=RTOL, abs=0)
 
 
 @pytest.mark.parametrize(
