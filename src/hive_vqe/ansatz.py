@@ -17,14 +17,14 @@ n = 12 and P = 52).  The backward pass then carries one vector, the
 Hamiltonian image stepped back through the inverse factors, so a gradient
 costs about two circuit applications instead of one per parameter.
 
-Engines: ``energy_and_gradient`` runs the same adjoint sweep on the momentum
-pair states of ``freefermion`` when the circuit is closed and the operator is
-term for term the closed TFIM, and ``diagnostics.qfim`` uses those pair
-states for a closed chain from the uniform superposition.  Everything else
-here is statevector only: the open chain, any other ``PauliSum``, arbitrary
-input states (``apply_circuit``), ``prepare_state``, ``prepare_amplitudes``
-and ``derivative_stack``, which the information matrix takes for an open
-chain or an explicit input state.
+Engines: ``energy_and_gradient`` takes the gradient from one forward sweep
+over the momentum pair states of ``freefermion``, with no backward pass, when
+the circuit is closed and the operator is term for term the closed TFIM, and
+``diagnostics.qfim`` uses that sweep for a closed chain from the uniform
+superposition.  Everything else here is statevector only: the open chain, any
+other ``PauliSum``, arbitrary input states (``apply_circuit``),
+``prepare_state``, ``prepare_amplitudes`` and ``derivative_stack``, which the
+information matrix takes for an open chain or an explicit input state.
 """
 
 from __future__ import annotations

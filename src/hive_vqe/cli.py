@@ -179,13 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except DivergenceError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return NUMERIC_ERROR
-    except np.linalg.LinAlgError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return NUMERIC_ERROR
-    except FloatingPointError as exc:
+    except (DivergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except ValueError as exc:

@@ -16,9 +16,26 @@ fermion vacuum, which has even parity, so the momenta are
 
 A coupling factor is kept without its phase ``exp(-2ia cos k)``, which is
 global to its pair, so every factor has the form ``[[u, v], [-v*, u*]]``.
-A batch of B rows at depth L costs O(B L n) work against O(B L n 2**n) on
-the statevector.  The information matrix is a sum of 2x2 problems, one per
-pair, so its rank is at most 2 (n // 2) (Larocca et al., arXiv:2105.14377).
+So does the product ``U_j`` of the first j + 1 factors, which is therefore
+fixed by its first column: the pair state ``s_j = (a, b)`` after factor j,
+with ``U_j |1> = s'_j = (-b*, a*)``.  Derivative j of a pair's final state
+inserts the generator ``G_j`` after factor j, which makes it
+``-i W (m_j, w_j)`` for the whole circuit ``W``, with the real
+``m_j = <s_j| G_j |s_j>`` and ``w_j = <s'_j| G_j |s_j>``.  Constant parts of
+the generators and the dropped phases reach only ``m_j``, and ``m_j`` drops
+out of both derivative quantities:
+
+- the gradient is ``g_j = 2 Im sum_k w_jk c_k`` with
+  ``c_k = <psi_k| H_k |psi'_k>`` on the final pair states; the ``m_j`` term
+  is ``m_j`` times the real energy, so it adds nothing;
+- the information matrix is the sum of the pairs' own, ``F = 4 Re(w* w^T)``:
+  the Gram matrix's ``m m^T`` cancels the subtracted ``m m^T`` of the
+  state's own direction.
+
+One forward sweep thus gives both, with no backward pass.  A batch of B rows
+at depth L costs O(B L n) work against O(B L n 2**n) on the statevector.
+Each pair adds a term of rank at most 2 to the information matrix, so its
+rank is at most 2 (n // 2) (Larocca et al., arXiv:2105.14377).
 """
 
 from __future__ import annotations
@@ -75,15 +92,6 @@ def _hamiltonian(spec: TfimSpec) -> np.ndarray:
     return _read_only(out)
 
 
-@functools.lru_cache(maxsize=64)
-def _generators(n: int, params: int) -> np.ndarray:
-    """Generator of each factor, shape ``(P, n // 2, 2, 2)``."""
-    out = np.empty((params, n // 2, 2, 2))
-    out[0::2] = _coupling_operator(n)
-    out[1::2] = np.diag([2.0, -2.0])
-    return _read_only(out)
-
-
 def _coupling(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(u, v)`` of the coupling factors, with a trailing pair axis.
 
@@ -122,8 +130,8 @@ def batch_energies(spec: TfimSpec, thetas: np.ndarray) -> np.ndarray:
     return _energy(spec, ensure_normalized(np.stack((alpha, beta), axis=-1)))
 
 
-def _factors(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``(P, K, 2, 2)`` of one parameter vector and their generators."""
+def _sweep(n: int, theta: np.ndarray) -> np.ndarray:
+    """Pair states ``(P, K, 2)`` after each factor of one parameter vector."""
     params, modes = theta.shape[0], n // 2
     u = np.empty((params, modes), dtype=np.complex128)
     v = np.zeros_like(u)
@@ -132,54 +140,40 @@ def _factors(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factors = np.stack(
         (np.stack((u, v), axis=-1), np.stack((-v.conj(), u.conj()), axis=-1)), axis=-2
     )
-    return factors, _generators(n, params)
+    states = np.empty((params, modes, 2, 1), dtype=np.complex128)
+    states[0] = factors[0, ..., :1]
+    for j in range(1, params):
+        np.matmul(factors[j], states[j - 1], out=states[j])
+    return states[..., 0]
+
+
+def _tangents(n: int, states: np.ndarray) -> np.ndarray:
+    """``w_j = <s'_j | G_j | s_j>`` of every factor and pair, shape ``(P, K)``.
+
+    The generator is ``A_k`` for a coupling factor and ``diag(2, -2)`` for a
+    field factor, and ``<s'| = (-b, a)`` for ``s = (a, b)``.
+    """
+    images = np.empty_like(states)
+    images[0::2] = np.matmul(_coupling_operator(n), states[0::2, ..., None])[..., 0]
+    images[1::2] = states[1::2] * np.array([2.0, -2.0])
+    return states[..., 0] * images[..., 1] - states[..., 1] * images[..., 0]
 
 
 def energy_and_gradient(spec: TfimSpec, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Energy and exact gradient of one checked parameter vector.
 
-    The adjoint sweep of the statevector engine on ``(K, 2)`` pair states:
-    the forward pass keeps all P + 1 states, ``lam`` starts as ``H psi`` and
-    steps back through the inverse factors, and entry ``j`` is
-    ``2 Im <lam_j | G_j | states[j + 1]>`` with generator ``A_k`` for a
-    coupling factor and ``2 sz`` for a field factor.  Their constant parts,
-    like the dropped phases, do not change it: ``<lam_j | states[j + 1]>``
-    is the real energy.
+    Entry ``j`` is ``2 Im sum_k w_jk c_k`` with ``c_k = <psi_k| H_k |psi'_k>``
+    on the normalized final pair states.
     """
-    factors, generators = _factors(spec.n, theta)
-    params, modes = factors.shape[:2]
-    states = np.empty((params + 1, modes, 2, 1), dtype=np.complex128)
-    states[0] = [[1.0], [0.0]]
-    for j in range(params):
-        np.matmul(factors[j], states[j], out=states[j + 1])
-    psi = ensure_normalized(states[-1, ..., 0])
-    energy = float(_energy(spec, psi))
-
-    inverse = factors.conj().swapaxes(-1, -2)
-    lam = np.empty_like(states[1:])
-    np.matmul(_hamiltonian(spec), psi[..., None], out=lam[-1])
-    for j in range(params - 1, 0, -1):
-        np.matmul(inverse[j], lam[j], out=lam[j - 1])
-    image = np.matmul(generators, states[1:])
-    grad = 2.0 * (lam.conj() * image).sum(axis=(1, 2, 3)).imag
-    return energy, grad
+    states = _sweep(spec.n, theta)
+    psi = ensure_normalized(states[-1])
+    flipped = np.stack((-psi[:, 1].conj(), psi[:, 0].conj()), axis=-1)
+    image = np.matmul(_hamiltonian(spec), flipped[..., None])[..., 0]
+    c = (psi.conj() * image).sum(axis=-1)
+    return float(_energy(spec, psi)), 2.0 * (_tangents(spec.n, states) @ c).imag
 
 
 def qfim(n: int, theta: np.ndarray) -> np.ndarray:
-    """Information matrix of the n-site closed chain at one checked vector.
-
-    The state is a product of pair states, so the matrix is the sum of the
-    pairs' own.  With prefix products ``U_j = M_j ... M_0``, derivative ``j``
-    of a pair is ``-i U_{P-1} v_j`` where ``v_j = U_j^dag G_j U_j |0>``, so
-    ``F = 4 Re(V^* V^T - m^* m^T)`` with ``V`` the ``v_j`` of all pairs as
-    rows and ``m_j = <0|v_j>`` per pair.  That covariance ignores constants
-    in the generators and the dropped phases.
-    """
-    factors, generators = _factors(n, theta)
-    prefix = factors.copy()
-    for j in range(1, len(factors)):
-        np.matmul(factors[j], prefix[j - 1], out=prefix[j])
-    images = np.matmul(generators, prefix[..., :1])
-    v = np.matmul(prefix.conj().swapaxes(-1, -2), images)[..., 0]
-    rows, m = v.reshape(len(v), -1), v[..., 0]
-    return 4.0 * (rows.conj() @ rows.T - m.conj() @ m.T).real
+    """Information matrix ``4 Re(w* w^T)`` of the closed chain at one checked vector."""
+    w = _tangents(n, _sweep(n, theta))
+    return 4.0 * (w.conj() @ w.T).real

@@ -180,6 +180,16 @@ def test_diagnose_linalg_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_diagnose_floating_point_failure_exits_three(tmp_path, capsys, monkeypatch):
+    def overflow(*args):
+        raise FloatingPointError("overflow encountered in matmul")
+
+    monkeypatch.setattr(harness, "hessian", overflow)
+    config = write_config(tmp_path, TINY)
+    assert main(["diagnose", "--config", config, "--out", str(tmp_path / "diag")]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_diagnose_cli(tmp_path, capsys):
     config = write_config(tmp_path, TINY)
     out = tmp_path / "diag"

@@ -141,15 +141,11 @@ def test_chain_constants_are_shared_and_read_only():
         *freefermion._momenta(6),
         freefermion._coupling_operator(6),
         freefermion._hamiltonian(spec),
-        freefermion._generators(6, 20),
     ]
     assert freefermion._hamiltonian(TfimSpec(n=6, h=1.1)) is constants[3]
     for array in constants:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    theta = np.random.default_rng(2).uniform(-np.pi, np.pi, 20)
-    _, generators = freefermion._factors(6, theta)
-    assert generators is constants[4]
 
 
 def test_pair_engine_swarm_run_is_pinned():
