@@ -54,7 +54,7 @@ class Objective:
     """Objective with an optional reference optimum and call counting.
 
     ``value`` and ``batch_values`` count one evaluation per parameter row;
-    ``value_and_grad`` counts two, one forward pass plus one adjoint sweep.
+    ``value_and_grad`` counts two, for an energy and its gradient.
     Subclasses implement the underscore hooks.
     """
 
