@@ -32,8 +32,13 @@ out of both derivative quantities:
   the Gram matrix's ``m m^T`` cancels the subtracted ``m m^T`` of the
   state's own direction.
 
-One forward sweep thus gives both, with no backward pass.  A batch of B rows
-at depth L costs O(B L n) work against O(B L n 2**n) on the statevector.
+So the pair states after every factor give both, with no backward pass.
+They come from one inclusive prefix scan (Hillis & Steele, CACM 29, 1170
+(1986)) over the factors' ``(u, v)``: the product of two such matrices has
+the same form, so a pair of ``(P, K)`` arrays carries every partial product,
+and ``ceil(log2 P)`` levels of elementwise products replace P - 1 sequential
+2x2 products.  A batch of B rows at depth L costs O(B L n) work against
+O(B L n 2**n) on the statevector.
 Each pair adds a term of rank at most 2 to the information matrix, so its
 rank is at most 2 (n // 2) (Larocca et al., arXiv:2105.14377).
 """
@@ -131,20 +136,26 @@ def batch_energies(spec: TfimSpec, thetas: np.ndarray) -> np.ndarray:
 
 
 def _sweep(n: int, theta: np.ndarray) -> np.ndarray:
-    """Pair states ``(P, K, 2)`` after each factor of one parameter vector."""
+    """Pair states ``(P, K, 2)`` after each factor of one parameter vector.
+
+    Row j of ``(u, v)`` starts as factor j and ends as the prefix product
+    ``U_j``, whose first column is the pair state ``(u_j, -v_j*)``.  At
+    span 1, 2, 4, ... < P every row j >= span is multiplied on the right by
+    row j - span, the product of the factors just before its own:
+    ``(a, b)(c, d)`` is ``(a c - b d*, a d + b c*)``.  That takes
+    ``ceil(log2 P)`` levels.
+    """
     params, modes = theta.shape[0], n // 2
     u = np.empty((params, modes), dtype=np.complex128)
     v = np.zeros_like(u)
     u[0::2], v[0::2] = _coupling(n, theta[0::2])
     u[1::2] = np.exp(-2j * theta[1::2])[:, None]
-    factors = np.stack(
-        (np.stack((u, v), axis=-1), np.stack((-v.conj(), u.conj()), axis=-1)), axis=-2
-    )
-    states = np.empty((params, modes, 2, 1), dtype=np.complex128)
-    states[0] = factors[0, ..., :1]
-    for j in range(1, params):
-        np.matmul(factors[j], states[j - 1], out=states[j])
-    return states[..., 0]
+    span = 1
+    while span < params:
+        a, b, c, d = u[span:], v[span:], u[:-span], v[:-span]
+        u[span:], v[span:] = a * c - b * d.conj(), a * d + b * c.conj()
+        span *= 2
+    return np.stack((u, -v.conj()), axis=-1)
 
 
 def _tangents(n: int, states: np.ndarray) -> np.ndarray:

@@ -194,7 +194,7 @@ def stack_qfim(circuit, theta, base_state=None):
     return 0.5 * (entries + entries.T)
 
 
-@pytest.mark.parametrize("layers", [1, 3, 26])
+@pytest.mark.parametrize("layers", [1, 3, 8, 26])
 @pytest.mark.parametrize("n", range(2, 13))
 def test_pair_qfim_matches_statevector(n, layers):
     circuit = HvaCircuit(n=n, layers=layers, boundary=Boundary.CLOSED)

@@ -31,7 +31,7 @@ def reordered(hamiltonian):
     return PauliSum(hamiltonian.n, hamiltonian.terms[::-1])
 
 
-@pytest.mark.parametrize("layers", [1, 3, 26])
+@pytest.mark.parametrize("layers", [1, 3, 8, 26])
 @pytest.mark.parametrize("h", [0.0, 1.1, -0.7])
 @pytest.mark.parametrize("n", range(2, 13))
 def test_engine_matches_statevector(n, h, layers, monkeypatch):
