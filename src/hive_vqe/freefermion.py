@@ -138,12 +138,15 @@ def batch_energies(spec: TfimSpec, thetas: np.ndarray) -> np.ndarray:
 def _sweep(n: int, theta: np.ndarray) -> np.ndarray:
     """Pair states ``(P, K, 2)`` after each factor of one parameter vector.
 
-    Row j of ``(u, v)`` starts as factor j and ends as the prefix product
-    ``U_j``, whose first column is the pair state ``(u_j, -v_j*)``.  At
-    span 1, 2, 4, ... < P every row j >= span is multiplied on the right by
-    row j - span, the product of the factors just before its own:
+    Every factor and every product of factors is ``[[u, v], [-v*, u*]]``,
+    so its ``(u, v)`` fixes it.  Row j of ``(u, v)`` starts as factor j and
+    ends as the prefix product ``U_j``, whose first column is the pair state
+    ``(u_j, -v_j*)``.  Before the level at span 1, 2, 4, ... < P, row j holds
+    the product of the last ``span`` factors up to j, or of all of them if
+    there are fewer.  The level multiplies every row j >= span on the right
+    by row j - span, which holds the factors before those:
     ``(a, b)(c, d)`` is ``(a c - b d*, a d + b c*)``.  That takes
-    ``ceil(log2 P)`` levels.
+    ``ceil(log2 P)`` levels against P - 1 sequential products.
     """
     params, modes = theta.shape[0], n // 2
     u = np.empty((params, modes), dtype=np.complex128)
