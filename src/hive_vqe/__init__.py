@@ -7,10 +7,9 @@ first time one of its names is read, so a command imports only what it runs.
 import importlib
 
 _EXPORTS = {
-    "hamiltonian": "Boundary PauliString PauliSum TfimSpec build_tfim exact_ground_energy",
+    "hamiltonian": "Boundary PauliSum TfimSpec build_tfim exact_ground_energy",
     "statevector": "StateVector expectation plus_state renormalization_count",
-    "ansatz": "HvaCircuit apply_circuit energy_and_gradient energy_gradient prepare_state "
-    "state_derivative",
+    "ansatz": "HvaCircuit energy_and_gradient energy_gradient prepare_state",
     "loss": "Objective VqeObjective vqe_energy vqe_energy_batch",
     "optimizers": "AdamConfig BoaConfig BoaState ConvergenceTrace DivergenceError Site "
     "Termination TraceRecord adam_step boa_cycle boa_init run_optimization",

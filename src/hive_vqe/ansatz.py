@@ -5,11 +5,12 @@ One layer applies ``exp(-i a_l * sum Z_i Z_{i+1})`` followed by
 ``(a_1, b_1, a_2, b_2, ...)`` so a depth-L circuit carries 2L parameters.
 All angles at zero leave the uniform superposition untouched.
 
-State derivatives are exact: differentiating the product inserts ``-i G``
-right after the corresponding exponential factor, where ``G`` is that
-factor's generator.  ``derivative_stack`` builds all P of them in one forward
-sweep over a growing block of rows, each row branching off the running state
-right after its factor.
+Every circuit starts from the uniform superposition.  State derivatives are
+exact: differentiating the product inserts ``-i G`` right after the
+corresponding exponential factor, where ``G`` is that factor's generator.
+``derivative_stack`` builds all P of them in one forward sweep over a
+growing block of rows, each row branching off the running state right after
+its factor.
 
 Energy gradients use adjoint differentiation.  The forward pass keeps its
 P + 1 intermediate states, (P + 1) * 2**n complex amplitudes (3.4 MB at
@@ -19,12 +20,10 @@ costs about two circuit applications instead of one per parameter.
 
 Engines: ``energy_and_gradient`` takes the gradient from one forward sweep
 over the momentum pair states of ``freefermion``, with no backward pass, when
-the circuit is closed and the operator is term for term the closed TFIM, and
-``diagnostics.qfim`` uses that sweep for a closed chain from the uniform
-superposition.  Everything else here is statevector only: the open chain, any
-other ``PauliSum``, arbitrary input states (``apply_circuit``),
-``prepare_state``, ``prepare_amplitudes`` and ``derivative_stack``, which the
-information matrix takes for an open chain or an explicit input state.
+the circuit and the operator are both closed, and ``diagnostics.qfim`` uses
+that sweep for every closed circuit.  Everything else here is statevector
+only: the open chain, ``prepare_state``, ``prepare_amplitudes`` and
+``derivative_stack``, which the information matrix takes for an open chain.
 """
 
 from __future__ import annotations
@@ -87,20 +86,13 @@ def _apply_generator(circuit: HvaCircuit, index: int, amplitudes: np.ndarray) ->
     return apply_field_generator(amplitudes, circuit.n)
 
 
-def apply_circuit(circuit: HvaCircuit, theta, state: StateVector) -> StateVector:
-    """Evolve an arbitrary input state through the full layer stack."""
+def prepare_state(circuit: HvaCircuit, theta) -> StateVector:
+    """Evolve the uniform superposition to the parameterized trial state."""
     theta = _check_theta(circuit, theta)
-    if state.n != circuit.n:
-        raise ValueError(f"state has {state.n} qubits, circuit expects {circuit.n}")
-    amps = state.amplitudes
+    amps = plus_state(circuit.n).amplitudes
     for j in range(circuit.n_params):
         amps = _apply_factor(circuit, j, float(theta[j]), amps)
     return StateVector(circuit.n, ensure_normalized(amps))
-
-
-def prepare_state(circuit: HvaCircuit, theta) -> StateVector:
-    """Evolve the uniform superposition to the parameterized trial state."""
-    return apply_circuit(circuit, theta, plus_state(circuit.n))
 
 
 def check_parameter_rows(circuit: HvaCircuit, thetas) -> np.ndarray:
@@ -125,31 +117,7 @@ def prepare_amplitudes(circuit: HvaCircuit, thetas: np.ndarray) -> np.ndarray:
     return ensure_normalized(amps)
 
 
-def state_derivative(
-    circuit: HvaCircuit, theta, index: int, initial: StateVector | None = None
-) -> StateVector:
-    """Exact derivative of the prepared state for one parameter.
-
-    The result is generally not unit norm.  ``initial`` defaults to the
-    uniform superposition.
-    """
-    theta = _check_theta(circuit, theta)
-    if not 0 <= index < circuit.n_params:
-        raise ValueError(f"parameter index {index} out of range [0, {circuit.n_params})")
-    start = plus_state(circuit.n) if initial is None else initial
-    if start.n != circuit.n:
-        raise ValueError(f"state has {start.n} qubits, circuit expects {circuit.n}")
-    amps = start.amplitudes
-    for j in range(circuit.n_params):
-        amps = _apply_factor(circuit, j, float(theta[j]), amps)
-        if j == index:
-            amps = -1j * _apply_generator(circuit, j, amps)
-    return StateVector(circuit.n, amps)
-
-
-def derivative_stack(
-    circuit: HvaCircuit, theta, initial: StateVector | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def derivative_stack(circuit: HvaCircuit, theta) -> tuple[np.ndarray, np.ndarray]:
     """Prepared amplitudes plus all parameter derivatives, stacked row-wise.
 
     One forward sweep over a ``(P + 1, 2**n)`` block.  Row 0 is the running
@@ -157,15 +125,11 @@ def derivative_stack(
     shared angle, then row ``j + 1`` is set to ``-i G_j`` times row 0, so
     every row later meets the same factors as row 0.  That is P kernel calls
     on about P**2 / 2 rows in all, where the parameter-by-parameter form
-    makes P**2 single-row calls.  ``initial`` defaults to the uniform
-    superposition.
+    makes P**2 single-row calls.
     """
     theta = _check_theta(circuit, theta)
-    start = plus_state(circuit.n) if initial is None else initial
-    if start.n != circuit.n:
-        raise ValueError(f"state has {start.n} qubits, circuit expects {circuit.n}")
     stack = np.empty((circuit.n_params + 1, 1 << circuit.n), dtype=np.complex128)
-    stack[0] = start.amplitudes
+    stack[0] = 2.0 ** (-circuit.n / 2.0)
     for j in range(circuit.n_params):
         stack[: j + 1] = _apply_factor(circuit, j, float(theta[j]), stack[: j + 1])
         stack[j + 1] = -1j * _apply_generator(circuit, j, stack[0])

@@ -2,11 +2,12 @@
 
 The information matrix is assembled from exact state derivatives,
 ``F_ij = 4 Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>]``, and its rank
-counts the locally independent state-space directions.  A closed chain from
-the uniform superposition is a product of n // 2 pair states, so its rank is
-at most 2 (n // 2) and ``freefermion`` computes it; any other chain or input
-state takes the statevector derivative stack.  The loss Hessian is built as
-a central finite difference of the exact gradient, then symmetrized.
+counts the locally independent state-space directions.  Every circuit starts
+from the uniform superposition.  A closed chain is then a product of n // 2
+pair states, so its rank is at most 2 (n // 2) and ``freefermion`` computes
+it; an open chain takes the statevector derivative stack.  The loss Hessian
+is built as a central finite difference of the exact gradient, then
+symmetrized.
 """
 
 from __future__ import annotations
@@ -99,13 +100,13 @@ def fubini_study_distance(a: StateVector, b: StateVector) -> float:
     return float(2.0 * max(0.0, 1.0 - overlap_sq))
 
 
-def qfim(circuit: HvaCircuit, theta, base_state: StateVector | None = None) -> QfimMatrix:
+def qfim(circuit: HvaCircuit, theta) -> QfimMatrix:
     """Information matrix of the prepared state at one parameter point."""
     theta = _check_theta(circuit, theta)
-    if base_state is None and circuit.boundary is Boundary.CLOSED:
+    if circuit.boundary is Boundary.CLOSED:
         entries = freefermion.qfim(circuit.n, theta)
     else:
-        psi, derivatives = derivative_stack(circuit, theta, initial=base_state)
+        psi, derivatives = derivative_stack(circuit, theta)
         gram = derivatives.conj() @ derivatives.T
         overlaps = derivatives.conj() @ psi
         entries = 4.0 * (gram - np.outer(overlaps, overlaps.conj())).real

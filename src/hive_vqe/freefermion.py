@@ -54,15 +54,12 @@ from hive_vqe.statevector import ensure_normalized
 
 
 def closed_chain_spec(circuit, hamiltonian: PauliSum) -> TfimSpec | None:
-    """The chain this engine evaluates for a circuit and operator, or None.
+    """The operator's spec when the circuit and the operator are both closed, else None.
 
-    That takes a closed circuit and, term for term, the closed TFIM; every
-    other pair stays on the statevector.  Callers check the qubit counts.
+    Every open pair stays on the statevector.  Callers check the qubit counts.
     """
-    spec = hamiltonian.tfim_spec
-    if spec is None or Boundary.OPEN in (circuit.boundary, spec.boundary):
-        return None
-    return spec
+    closed = circuit.boundary is hamiltonian.spec.boundary is Boundary.CLOSED
+    return hamiltonian.spec if closed else None
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

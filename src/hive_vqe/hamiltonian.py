@@ -1,4 +1,4 @@
-"""Pauli-string operators and the transverse-field Ising chain.
+"""The transverse-field Ising chain: its spec, its operator, its ground energy.
 
 Basis convention used across the package: qubit 0 is the leftmost tensor
 factor and therefore the most significant bit of a basis-state index.  Basis
@@ -9,9 +9,12 @@ tables, and tests agree entry for entry.
 
 In this ordering the n-qubit Hadamard transform is the Sylvester matrix
 ``W[b, c] = (-1)**popcount(b & c)`` up to a factor ``2**(-n/2)``, and it maps
-``X_i`` to ``Z_i``.  So a string of only ``I`` and ``X`` is diagonal after
-``walsh_hadamard``, just as a string of only ``I`` and ``Z`` is diagonal
-before it; ``sum_i X_i`` has eigenvalue ``n - 2 * popcount(b)`` there.
+``X_i`` to ``Z_i``.  So the chain's two generators are both diagonal: the
+bond sum ``sum Z_i Z_{i+1}`` in the computational basis, and the field sum
+``sum_i X_i`` after ``walsh_hadamard``, with eigenvalue
+``n - 2 * popcount(b)``.  ``_spectrum`` caches one integer table per
+generator; the circuit layers of ``statevector`` and the Hamiltonian
+``PauliSum`` both read it, and nothing else builds an operator.
 """
 
 from __future__ import annotations
@@ -27,23 +30,11 @@ import numpy as np
 MIN_QUBITS = 2
 MAX_QUBITS = 12
 
-_PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
-}
-
 
 def check_qubit_count(n: int) -> None:
     """Reject a chain length outside ``MIN_QUBITS..MAX_QUBITS``."""
     if not MIN_QUBITS <= n <= MAX_QUBITS:
         raise ValueError(f"chains are limited to {MIN_QUBITS}..{MAX_QUBITS} qubits, got n={n}")
-
-
-def _check_dense_size(n: int) -> None:
-    if n > MAX_QUBITS:
-        raise ValueError(f"dense materialization is limited to {MAX_QUBITS} qubits, got n={n}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,10 +78,6 @@ class Boundary(enum.Enum):
     OPEN = "open"
     CLOSED = "closed"
 
-    def coupling_count(self, n: int) -> int:
-        """Number of nearest-neighbour bonds on an n-site chain."""
-        return n - 1 if self is Boundary.OPEN else n
-
     @classmethod
     def parse(cls, text: str) -> "Boundary":
         try:
@@ -99,173 +86,6 @@ class Boundary(enum.Enum):
             raise ValueError(
                 f"unknown boundary {text!r}; expected 'open' or 'closed'"
             ) from None
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """One real-weighted tensor product of single-qubit Pauli operators.
-
-    ``letters`` holds one character of ``IXYZ`` per qubit, leftmost character
-    acting on qubit 0.
-    """
-
-    coefficient: float
-    letters: str
-
-    def __post_init__(self) -> None:
-        if not self.letters or set(self.letters) - set("IXYZ"):
-            raise ValueError(
-                f"letters must be a nonempty string over IXYZ, got {self.letters!r}"
-            )
-        if not np.isfinite(self.coefficient):
-            raise ValueError("coefficient must be finite")
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    def matrix(self) -> np.ndarray:
-        """Dense matrix, including the coefficient."""
-        _check_dense_size(self.n)
-        out = np.array([[self.coefficient]], dtype=np.complex128)
-        for letter in self.letters:
-            out = np.kron(out, _PAULI[letter])
-        return out
-
-
-@dataclass(frozen=True)
-class PauliSum:
-    """Real-weighted sum of Pauli strings on a fixed qubit count.
-
-    Zero-coefficient terms are dropped at construction, so the empty sum is a
-    valid representation of the zero operator.
-    """
-
-    n: int
-    terms: tuple[PauliString, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got n={self.n}")
-        kept = tuple(t for t in self.terms if t.coefficient != 0.0)
-        for term in kept:
-            if term.n != self.n:
-                raise ValueError(
-                    f"term {term.letters!r} acts on {term.n} qubits, expected {self.n}"
-                )
-        object.__setattr__(self, "terms", kept)
-
-    @functools.cached_property
-    def tfim_spec(self) -> TfimSpec | None:
-        """The chain whose ``build_tfim`` output this sum is, term for term.
-
-        The field is read from the first X term (zero without one), then the
-        terms are compared, order included, with both boundaries' chains.
-        Any other sum, reordered or extended, gives None.
-        """
-        if self.n < 2:
-            return None
-        field = next((-t.coefficient for t in self.terms if "X" in t.letters), 0.0)
-        for boundary in Boundary:
-            spec = TfimSpec(self.n, field, boundary)
-            if build_tfim(spec).terms == self.terms:
-                return spec
-        return None
-
-    def to_dense(self) -> np.ndarray:
-        _check_dense_size(self.n)
-        dim = 1 << self.n
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for term in self.terms:
-            out += term.matrix()
-        return out
-
-    @functools.cached_property
-    def _action(self) -> tuple[np.ndarray, np.ndarray | None, list[tuple[np.ndarray, np.ndarray]]]:
-        """The operator split by basis, for matrix-free application.
-
-        Returns ``(z_diagonal, x_diagonal, gathers)``.  Strings of only ``I``
-        and ``Z`` sum to ``z_diagonal``, diagonal in the computational basis.
-        Strings of only ``I`` and ``X`` sum to ``x_diagonal``, diagonal in the
-        Hadamard basis, with the ``2**-n`` of the two unnormalized transforms
-        folded in; it is ``None`` when there is no such string.  Every other
-        string maps basis state ``b`` to ``phase(b) * |b ^ flip>`` and keeps
-        one ``(gather indices, phases)`` pair.
-        """
-        dim = 1 << self.n
-        idx = np.arange(dim)
-        z_diagonal = np.zeros(dim)
-        x_diagonal = np.zeros(dim)
-        has_x = False
-        gathers = []
-        for term in self.terms:
-            flip = 0
-            sign_mask = 0
-            y_count = 0
-            for i, letter in enumerate(term.letters):
-                bit = 1 << (self.n - 1 - i)
-                if letter in "XY":
-                    flip |= bit
-                if letter in "ZY":
-                    sign_mask |= bit
-                if letter == "Y":
-                    y_count += 1
-            if flip == 0:
-                z_diagonal += term.coefficient * (1.0 - 2.0 * _bit_parity(idx & sign_mask, self.n))
-            elif sign_mask == 0:
-                x_diagonal += term.coefficient * (1.0 - 2.0 * _bit_parity(idx & flip, self.n))
-                has_x = True
-            else:
-                src = idx ^ flip
-                parity = _bit_parity(src & sign_mask, self.n)
-                phase = term.coefficient * (1j**y_count) * (1.0 - 2.0 * parity)
-                gathers.append((src, phase.astype(np.complex128)))
-        return z_diagonal, (x_diagonal / dim if has_x else None), gathers
-
-    def _check_amplitudes(self, amplitudes: np.ndarray) -> np.ndarray:
-        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-        dim = 1 << self.n
-        if amplitudes.shape[-1] != dim:
-            raise ValueError(
-                f"amplitude axis has length {amplitudes.shape[-1]}, expected {dim}"
-            )
-        return amplitudes
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Matrix-free operator product, acting on the last axis."""
-        amplitudes = self._check_amplitudes(amplitudes)
-        z_diagonal, x_diagonal, gathers = self._action
-        out = z_diagonal * amplitudes
-        if x_diagonal is not None:
-            out += walsh_hadamard(x_diagonal * walsh_hadamard(amplitudes))
-        for src, phase in gathers:
-            out += phase * amplitudes[..., src]
-        return out
-
-    def expectation(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Real expectation ``<a|op|a>`` of every row, reducing the last axis.
-
-        The diagonal parts reduce against ``|a|**2`` and ``|W a|**2``; only
-        strings holding a Y, or both an X and a Z, need the operator image.
-        """
-        amplitudes = self._check_amplitudes(amplitudes)
-        z_diagonal, x_diagonal, gathers = self._action
-        value = _abs_squared(amplitudes) @ z_diagonal
-        if x_diagonal is not None:
-            value += _abs_squared(walsh_hadamard(amplitudes)) @ x_diagonal
-        for src, phase in gathers:
-            image = phase * amplitudes[..., src]
-            value += np.sum(amplitudes.conj() * image, axis=-1).real
-        return value
-
-
-def _abs_squared(amplitudes: np.ndarray) -> np.ndarray:
-    return amplitudes.real**2 + amplitudes.imag**2
-
-
-def _bit_parity(values: np.ndarray, nbits: int) -> np.ndarray:
-    bits = (values[:, None] >> np.arange(nbits)) & 1
-    return bits.sum(axis=1) % 2
 
 
 @dataclass(frozen=True)
@@ -283,23 +103,94 @@ class TfimSpec:
             raise ValueError("transverse field strength must be finite")
 
 
-def build_tfim(spec: TfimSpec) -> PauliSum:
-    """Assemble the chain Hamiltonian as a Pauli sum.
+@functools.lru_cache(maxsize=None)
+def _spectrum(n: int, boundary: Boundary | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer eigenvalues of one generator on every basis state, plus gather helpers.
 
-    Coupling terms carry coefficient -1, field terms -h; at h = 0 the field
-    terms vanish and are dropped.
+    ``boundary`` selects the bond sum ``sum z_i z_{i+1}`` in the computational
+    basis, with the wraparound bond when closed; ``None`` selects the field
+    sum ``sum z_i = n - 2 * popcount(b)`` in the Hadamard basis.  Returns
+    read-only ``(table, gather, values)`` with ``values[gather] == table`` and
+    ``values`` the range of eigenvalues.
     """
-    terms = []
-    for i in range(spec.boundary.coupling_count(spec.n)):
-        letters = ["I"] * spec.n
-        letters[i] = "Z"
-        letters[(i + 1) % spec.n] = "Z"
-        terms.append(PauliString(-1.0, "".join(letters)))
-    for i in range(spec.n):
-        letters = ["I"] * spec.n
-        letters[i] = "X"
-        terms.append(PauliString(-float(spec.h), "".join(letters)))
-    return PauliSum(spec.n, tuple(terms))
+    check_qubit_count(n)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    z = 1 - 2 * bits
+    if boundary is None:
+        table = z.sum(axis=1)
+    else:
+        bonds = n if boundary is Boundary.CLOSED else n - 1
+        table = sum(z[:, i] * z[:, (i + 1) % n] for i in range(bonds))
+    arrays = table, table - table.min(), np.arange(table.min(), table.max() + 1)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@dataclass(frozen=True)
+class PauliSum:
+    """The Hamiltonian of one chain, ``-(bond sum) - h (field sum)``.
+
+    The bond sum is diagonal in the computational basis and the field sum in
+    the Hadamard basis, each with its ``_spectrum`` table, so the spec is the
+    whole operator.  Every method acts on the last axis of an amplitude
+    array and keeps the leading axes.
+    """
+
+    spec: TfimSpec
+
+    @property
+    def n(self) -> int:
+        return self.spec.n
+
+    def _field_diagonal(self) -> np.ndarray:
+        """``-h`` times the field table, with the ``2**-n`` of two transforms."""
+        field, _, _ = _spectrum(self.n, None)
+        return (-self.spec.h * 2.0**-self.n) * field
+
+    def to_dense(self) -> np.ndarray:
+        """Dense matrix, for chains up to ``MAX_QUBITS``."""
+        check_qubit_count(self.n)
+        bonds, _, _ = _spectrum(self.n, self.spec.boundary)
+        field, _, _ = _spectrum(self.n, None)
+        sylvester = _sylvester(self.n)
+        field_sum = (sylvester * field) @ sylvester * 2.0**-self.n
+        return (-np.diag(bonds) - self.spec.h * field_sum).astype(np.complex128)
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Matrix-free operator product.
+
+        The field part, a diagonal between two ``walsh_hadamard`` calls, is
+        skipped when ``h = 0``.
+        """
+        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+        bonds, _, _ = _spectrum(self.n, self.spec.boundary)
+        out = -bonds * amplitudes
+        if self.spec.h != 0.0:
+            out += walsh_hadamard(self._field_diagonal() * walsh_hadamard(amplitudes))
+        return out
+
+    def expectation(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Real expectation ``<a|H|a>`` of every row.
+
+        The two diagonals reduce against ``|a|**2`` and ``|W a|**2``, so no
+        operator image is formed.
+        """
+        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+        bonds, _, _ = _spectrum(self.n, self.spec.boundary)
+        value = -(_abs_squared(amplitudes) @ bonds)
+        if self.spec.h != 0.0:
+            value += _abs_squared(walsh_hadamard(amplitudes)) @ self._field_diagonal()
+        return value
+
+
+def _abs_squared(amplitudes: np.ndarray) -> np.ndarray:
+    return amplitudes.real**2 + amplitudes.imag**2
+
+
+def build_tfim(spec: TfimSpec) -> PauliSum:
+    """The chain Hamiltonian of ``spec``; its ``spec`` attribute is ``spec``."""
+    return PauliSum(spec)
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,8 +6,8 @@ prepared trial state.  Both optimizers draw their starting points from
 
 Engines: ``vqe_energy_batch``, the swarm's call, and ``energy_and_gradient``,
 Adam's, run on the momentum pair engine of ``freefermion`` when the circuit
-is closed and the operator is term for term the closed TFIM.  ``vqe_energy``
-and every other circuit or operator run on the statevector.
+and the operator are both closed.  ``vqe_energy`` and every open circuit or
+operator run on the statevector.
 """
 
 from __future__ import annotations

@@ -1,26 +1,33 @@
 """Dense complex statevector engine for chains of 2 to 12 qubits.
 
-This is the reference engine: it serves the open chain, arbitrary Pauli sums
-and arbitrary input states, and cross-checks the pair engine of
-``freefermion``.  Each circuit generator is diagonal in a known basis, so no
-matrix exponential is ever formed.  The coupling sum ``sum Z_i Z_{i+1}`` is
+This is the reference engine: it serves the open chain, always from the
+uniform superposition, and cross-checks the pair engine of ``freefermion``.
+Each circuit generator is diagonal in a known basis, so no matrix
+exponential is ever formed.  The coupling sum ``sum Z_i Z_{i+1}`` is
 diagonal in the computational basis, with eigenvalue ``sum_bonds z_i z_j``
 on basis state ``b``.  The field sum ``sum X_i`` is diagonal in the Hadamard
 basis, with eigenvalue ``n - 2 * popcount(b)``, so its layer is a phase
 between two ``hamiltonian.walsh_hadamard`` transforms.  Both eigenvalue
-tables are small integers, so a layer exponentiates only the distinct values
-and gathers.  Every kernel accepts leading batch axes (one parameter row per
-batch row), returns a new array and leaves its input as it was.
+tables are small integers, cached once per generator by
+``hamiltonian._spectrum`` and shared with the Hamiltonian, so a layer
+exponentiates only the distinct values and gathers.  Every kernel accepts
+leading batch axes (one parameter row per batch row), returns a new array
+and leaves its input as it was.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from hive_vqe.hamiltonian import Boundary, PauliSum, check_qubit_count, walsh_hadamard
+from hive_vqe.hamiltonian import (
+    Boundary,
+    PauliSum,
+    _spectrum,
+    check_qubit_count,
+    walsh_hadamard,
+)
 
 NORM_DRIFT_TOLERANCE = 1e-8
 
@@ -56,28 +63,6 @@ def plus_state(n: int) -> StateVector:
     """Uniform superposition, the shared circuit input."""
     check_qubit_count(n)
     return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128))
-
-
-@functools.lru_cache(maxsize=None)
-def _spectrum(n: int, boundary: Boundary | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integer eigenvalues of one generator on every basis state, plus gather helpers.
-
-    ``boundary`` selects the bond sum ``sum z_i z_{i+1}`` in the computational
-    basis; ``None`` selects the field sum ``sum z_i = n - 2 * popcount(b)`` in
-    the Hadamard basis.  Returns read-only ``(table, gather, values)`` with
-    ``values[gather] == table`` and ``values`` the range of eigenvalues.
-    """
-    check_qubit_count(n)
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    z = 1 - 2 * bits
-    if boundary is None:
-        table = z.sum(axis=1)
-    else:
-        table = sum(z[:, i] * z[:, (i + 1) % n] for i in range(boundary.coupling_count(n)))
-    arrays = table, table - table.min(), np.arange(table.min(), table.max() + 1)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
 
 
 def _phases(angle, n: int, boundary: Boundary | None, scale: float = 1.0) -> np.ndarray:
@@ -141,7 +126,7 @@ def renormalization_count() -> int:
 
 
 def expectation(state: StateVector, op: PauliSum) -> float:
-    """Real expectation value of a Hermitian Pauli sum."""
+    """Real expectation value of the chain Hamiltonian."""
     if op.n != state.n:
         raise ValueError(f"operator acts on {op.n} qubits, state has {state.n}")
     return float(op.expectation(state.amplitudes))

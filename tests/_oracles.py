@@ -1,8 +1,11 @@
 """Independent dense references for the test suite.
 
-Everything here is built from explicit Kronecker products and scipy's expm,
-sharing no kernel code with the package, so agreement between the two is a
-real check.  Qubit 0 is the leftmost tensor factor throughout.
+Everything here except ``stack_qfim`` is built from explicit Kronecker
+products and scipy's expm, sharing no kernel code with the package, so
+agreement between the two is a real check.  ``stack_qfim`` applies the
+information-matrix formula to the package's statevector derivative stack,
+the reference the pair engine's QFIM is held to.  Qubit 0 is the leftmost
+tensor factor throughout.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import expm
 
+from hive_vqe.ansatz import derivative_stack
 from hive_vqe.hamiltonian import Boundary
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -30,9 +34,10 @@ def site_op(n: int, q: int, op: np.ndarray) -> np.ndarray:
 def dense_coupling_sum(n: int, boundary: Boundary) -> np.ndarray:
     """Sum of neighboring ZZ products, with the wraparound bond when closed."""
     total = np.zeros((2**n, 2**n), dtype=np.complex128)
-    bonds = boundary.coupling_count(n)
-    for i in range(bonds):
-        pair = (i, (i + 1) % n)
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    if boundary is Boundary.CLOSED:
+        bonds.append((n - 1, 0))
+    for pair in bonds:
         total += kron_all([PAULI_Z if q in pair else I2 for q in range(n)])
     return total
 
@@ -81,30 +86,37 @@ def butterfly_x_layer(amplitudes: np.ndarray, angle, n: int) -> np.ndarray:
     return out
 
 
-def gather_apply(op, amplitudes: np.ndarray) -> np.ndarray:
-    """Pauli sum times amplitudes, one gather and one multiply per string.
-
-    String ``P`` maps basis state ``b`` to ``phase(b) * |b ^ flip>``; this is
-    the operator's former matrix-free kernel.
-    """
-    n = op.n
-    idx = np.arange(1 << n)
-    out = np.zeros(np.shape(amplitudes), dtype=np.complex128)
-    for term in op.terms:
-        flip = sign_mask = 0
-        for i, letter in enumerate(term.letters):
-            bit = 1 << (n - 1 - i)
-            if letter in "XY":
-                flip |= bit
-            if letter in "ZY":
-                sign_mask |= bit
-        src = idx ^ flip
-        parity = np.array([bin(v).count("1") % 2 for v in src & sign_mask])
-        phase = term.coefficient * (1j ** term.letters.count("Y")) * (1.0 - 2.0 * parity)
-        out += phase * np.asarray(amplitudes)[..., src]
-    return out
-
-
 def sylvester_hadamard(n: int) -> np.ndarray:
     """Unnormalized H^{(x)n} as an explicit Kronecker product."""
     return kron_all([np.array([[1.0, 1.0], [1.0, -1.0]])] * n)
+
+
+def state_derivative(circuit, theta, index: int) -> np.ndarray:
+    """Exact derivative of the prepared amplitudes for one parameter.
+
+    ``-i G_j`` is inserted right after factor ``j``.  The coupling sum is
+    diagonal and the field exponential is one rotation per qubit, so every
+    factor is exact without a matrix exponential.
+    """
+    n = circuit.n
+    coupling = np.diag(dense_coupling_sum(n, circuit.boundary))
+    field = dense_field_sum(n)
+    amplitudes = plus_vec(n)
+    for j, angle in enumerate(theta):
+        if j % 2 == 0:
+            amplitudes = np.exp(-1j * angle * coupling) * amplitudes
+        else:
+            rotation = np.cos(angle) * I2 - 1j * np.sin(angle) * PAULI_X
+            amplitudes = kron_all([rotation] * n) @ amplitudes
+        if j == index:
+            amplitudes = -1j * (coupling * amplitudes if j % 2 == 0 else field @ amplitudes)
+    return amplitudes
+
+
+def stack_qfim(circuit, theta) -> np.ndarray:
+    """``4 Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>]`` on the derivative stack."""
+    psi, derivatives = derivative_stack(circuit, theta)
+    gram = derivatives.conj() @ derivatives.T
+    overlaps = derivatives.conj() @ psi
+    entries = 4.0 * (gram - np.outer(overlaps, overlaps.conj())).real
+    return 0.5 * (entries + entries.T)

@@ -5,18 +5,16 @@ import pytest
 
 from hive_vqe.ansatz import (
     HvaCircuit,
-    apply_circuit,
     derivative_stack,
     energy_and_gradient,
     energy_gradient,
     prepare_amplitudes,
     prepare_state,
-    state_derivative,
 )
 from hive_vqe.hamiltonian import Boundary, TfimSpec, build_tfim
-from hive_vqe.statevector import StateVector, apply_x_layer, apply_zz_layer, plus_state
+from hive_vqe.statevector import apply_x_layer, apply_zz_layer, plus_state
 
-from _oracles import dense_unitary, plus_vec
+from _oracles import dense_unitary, plus_vec, state_derivative
 
 
 def test_circuit_validation_and_param_count():
@@ -57,17 +55,6 @@ def test_prepare_state_matches_dense_unitary():
                 assert np.max(np.abs(ours - ref)) < 1e-11
 
 
-def test_apply_circuit_on_arbitrary_state():
-    rng = np.random.default_rng(22)
-    circuit = HvaCircuit(n=3, layers=2, boundary=Boundary.CLOSED)
-    theta = rng.uniform(-1, 1, 4)
-    vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-    vec /= np.linalg.norm(vec)
-    ours = apply_circuit(circuit, theta, StateVector(3, vec)).amplitudes
-    ref = dense_unitary(3, 2, theta, Boundary.CLOSED) @ vec
-    np.testing.assert_allclose(ours, ref, atol=1e-12)
-
-
 def test_prepare_amplitudes_batches_rows():
     rng = np.random.default_rng(23)
     for n, layers, boundary in ((4, 3, Boundary.CLOSED), (5, 2, Boundary.OPEN)):
@@ -101,7 +88,7 @@ def test_state_derivative_matches_finite_difference():
     circuit = HvaCircuit(n=3, layers=2, boundary=Boundary.CLOSED)
     theta = rng.uniform(-1, 1, circuit.n_params)
     for index in range(circuit.n_params):
-        analytic = state_derivative(circuit, theta, index).amplitudes
+        analytic = state_derivative(circuit, theta, index)
         numeric = fd_state_derivative(circuit, theta, index)
         assert np.max(np.abs(analytic - numeric)) < 1e-8
 
@@ -109,33 +96,25 @@ def test_state_derivative_matches_finite_difference():
 def test_state_derivative_frozen_values_at_zero():
     for boundary, bonds in ((Boundary.OPEN, 3), (Boundary.CLOSED, 4)):
         circuit = HvaCircuit(n=4, layers=1, boundary=boundary)
-        coupling_deriv = state_derivative(circuit, np.zeros(2), 0).amplitudes
+        coupling_deriv = state_derivative(circuit, np.zeros(2), 0)
         assert np.vdot(coupling_deriv, coupling_deriv).real == pytest.approx(bonds, abs=1e-12)
-        field_deriv = state_derivative(circuit, np.zeros(2), 1).amplitudes
+        field_deriv = state_derivative(circuit, np.zeros(2), 1)
         np.testing.assert_allclose(field_deriv, -1j * 4 * plus_vec(4), atol=1e-14)
 
 
 def test_derivative_stack_consistent():
-    # The one-sweep stack against the parameter-by-parameter derivatives,
-    # from the plus state and from a random input; odd n has unequal halves.
+    # The one-sweep stack against the dense parameter-by-parameter
+    # derivatives; odd n has unequal halves.
     rng = np.random.default_rng(25)
     for n in (3, 4, 7):
         for boundary in (Boundary.OPEN, Boundary.CLOSED):
             circuit = HvaCircuit(n=n, layers=3, boundary=boundary)
             theta = rng.uniform(-1, 1, circuit.n_params)
-            vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            for initial in (None, StateVector(n, vec / np.linalg.norm(vec))):
-                start = plus_state(n) if initial is None else initial
-                psi, stack = derivative_stack(circuit, theta, initial)
-                assert stack.shape == (6, 2**n)
-                np.testing.assert_allclose(
-                    psi, apply_circuit(circuit, theta, start).amplitudes, atol=1e-14
-                )
-                rows = [
-                    state_derivative(circuit, theta, index, initial).amplitudes
-                    for index in range(6)
-                ]
-                np.testing.assert_allclose(stack, np.stack(rows), atol=1e-13)
+            psi, stack = derivative_stack(circuit, theta)
+            assert stack.shape == (6, 2**n)
+            np.testing.assert_allclose(psi, prepare_state(circuit, theta).amplitudes, atol=1e-14)
+            rows = [state_derivative(circuit, theta, index) for index in range(6)]
+            np.testing.assert_allclose(stack, np.stack(rows), atol=1e-13)
 
 
 def fd_gradient(circuit, theta, hamiltonian, step=1e-6):
@@ -182,7 +161,7 @@ def test_adjoint_gradient_matches_derivative_states():
                 psi = prepare_state(circuit, theta).amplitudes
                 image = dense @ psi
                 reference = np.array([
-                    2.0 * np.vdot(state_derivative(circuit, theta, j).amplitudes, image).real
+                    2.0 * np.vdot(state_derivative(circuit, theta, j), image).real
                     for j in range(circuit.n_params)
                 ])
                 energy, grad = energy_and_gradient(circuit, theta, hamiltonian)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hive_vqe import diagnostics
-from hive_vqe.ansatz import HvaCircuit, derivative_stack, prepare_state
+from hive_vqe.ansatz import HvaCircuit, prepare_state
 from hive_vqe.diagnostics import (
     HessianMatrix,
     QfimMatrix,
@@ -17,6 +17,8 @@ from hive_vqe.diagnostics import (
 from hive_vqe.hamiltonian import Boundary, TfimSpec, build_tfim
 from hive_vqe.loss import vqe_energy
 from hive_vqe.statevector import StateVector, plus_state
+
+from _oracles import stack_qfim
 
 
 def fd_state_derivatives(circuit, theta, step=1e-5):
@@ -185,15 +187,6 @@ def test_spectrum_report_and_rank():
     assert wrapped.rank + wrapped.zero_count == 2
 
 
-def stack_qfim(circuit, theta, base_state=None):
-    """The statevector derivative-stack formula, as ``qfim`` applies it."""
-    psi, derivatives = derivative_stack(circuit, theta, initial=base_state)
-    gram = derivatives.conj() @ derivatives.T
-    overlaps = derivatives.conj() @ psi
-    entries = 4.0 * (gram - np.outer(overlaps, overlaps.conj())).real
-    return 0.5 * (entries + entries.T)
-
-
 @pytest.mark.parametrize("layers", [1, 3, 8, 26])
 @pytest.mark.parametrize("n", range(2, 13))
 def test_pair_qfim_matches_statevector(n, layers):
@@ -201,23 +194,15 @@ def test_pair_qfim_matches_statevector(n, layers):
     rng = np.random.default_rng(100 * n + layers)
     for theta in (np.zeros(circuit.n_params), rng.uniform(-np.pi, np.pi, circuit.n_params)):
         pairs = qfim(circuit, theta).entries
-        reference = qfim(circuit, theta, base_state=plus_state(n)).entries
+        reference = stack_qfim(circuit, theta)
         assert np.abs(pairs - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_qfim_dispatch(monkeypatch):
     rng = np.random.default_rng(58)
-    cases = []
-    for boundary in Boundary:
-        circuit = HvaCircuit(n=5, layers=3, boundary=boundary)
-        theta = rng.uniform(-np.pi, np.pi, circuit.n_params)
-        start = prepare_state(HvaCircuit(n=5, layers=1), [0.3, -0.8])
-        cases += [(circuit, theta, start), (circuit, theta, plus_state(5))]
-        if boundary is Boundary.OPEN:
-            cases.append((circuit, theta, None))
-    for circuit, theta, start in cases:
-        expected = stack_qfim(circuit, theta, start)
-        np.testing.assert_array_equal(qfim(circuit, theta, base_state=start).entries, expected)
+    circuit = HvaCircuit(n=5, layers=3, boundary=Boundary.OPEN)
+    theta = rng.uniform(-np.pi, np.pi, circuit.n_params)
+    np.testing.assert_array_equal(qfim(circuit, theta).entries, stack_qfim(circuit, theta))
 
     def refuse(*args, **kwargs):
         raise AssertionError("derivative stack on the closed chain")
@@ -229,16 +214,15 @@ def test_qfim_dispatch(monkeypatch):
 
 
 def test_qfim_input_errors_match_on_both_engines():
-    circuit = HvaCircuit(n=4, layers=2, boundary=Boundary.CLOSED)
     for theta, message in (
         (np.zeros(3), r"shape \(3,\), expected \(4,\)"),
         (np.zeros((1, 4)), r"shape \(1, 4\), expected \(4,\)"),
         ([0.1, np.nan, 0.0, 0.2], "must be finite"),
         ([0.1, 0.0, np.inf, 0.2], "must be finite"),
     ):
-        for start in (None, plus_state(4)):
+        for boundary in Boundary:
             with pytest.raises(ValueError, match=message):
-                qfim(circuit, theta, base_state=start)
+                qfim(HvaCircuit(n=4, layers=2, boundary=boundary), theta)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -248,5 +232,5 @@ def test_qfim_rank_law(n):
     for boundary, law in ((Boundary.CLOSED, 2 * (n // 2)), (Boundary.OPEN, n * n // 2)):
         circuit = HvaCircuit(n=n, layers=3 * n, boundary=boundary)
         theta = rng.uniform(-np.pi, np.pi, circuit.n_params)
-        for start in (None, plus_state(n)):
-            assert spectrum_report(qfim(circuit, theta, base_state=start)).rank == law
+        for entries in (qfim(circuit, theta).entries, stack_qfim(circuit, theta)):
+            assert spectrum_report(QfimMatrix(entries)).rank == law

@@ -8,14 +8,7 @@ import pytest
 from hive_vqe import freefermion, loss
 from hive_vqe.ansatz import HvaCircuit, energy_and_gradient, prepare_amplitudes
 from hive_vqe.freefermion import closed_chain_spec
-from hive_vqe.hamiltonian import (
-    Boundary,
-    PauliString,
-    PauliSum,
-    TfimSpec,
-    build_tfim,
-    exact_ground_energy,
-)
+from hive_vqe.hamiltonian import Boundary, TfimSpec, build_tfim, exact_ground_energy
 from hive_vqe.loss import VqeObjective, vqe_energy_batch
 from hive_vqe.optimizers import AdamConfig, BoaConfig, Termination, run_optimization
 
@@ -24,11 +17,6 @@ RTOL = 1e-12
 
 def statevector_energies(circuit, thetas, hamiltonian):
     return hamiltonian.expectation(prepare_amplitudes(circuit, thetas))
-
-
-def reordered(hamiltonian):
-    """The same operator with its terms reversed."""
-    return PauliSum(hamiltonian.n, hamiltonian.terms[::-1])
 
 
 @pytest.mark.parametrize("layers", [1, 3, 8, 26])
@@ -71,27 +59,17 @@ def test_engine_skips_the_statevector(monkeypatch):
 @pytest.mark.parametrize("h", [0.0, 1.1, -0.7])
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_tfim_recognition(n, h, boundary):
+    """The operator carries its spec; the engine takes it exactly when both ends are closed."""
     spec = TfimSpec(n=n, h=h, boundary=boundary)
     hamiltonian = build_tfim(spec)
-    assert hamiltonian.tfim_spec == spec
-    extra = PauliString(0.5, "Y" + "I" * (n - 1))
-    assert PauliSum(n, hamiltonian.terms + (extra,)).tfim_spec is None
-
-
-@pytest.mark.parametrize("boundary", list(Boundary))
-@pytest.mark.parametrize("h", [0.0, 1.1])
-def test_reordered_terms_are_not_recognized(h, boundary):
-    hamiltonian = build_tfim(TfimSpec(n=4, h=h, boundary=boundary))
-    assert reordered(hamiltonian).tfim_spec is None
-
-
-def test_recognition_rejects_other_weights():
-    terms = build_tfim(TfimSpec(n=4, h=1.1)).terms
-    scaled = (PauliString(-2.0, terms[0].letters),) + terms[1:]
-    assert PauliSum(4, scaled).tfim_spec is None
-    mixed = terms[:-1] + (PauliString(-0.3, terms[-1].letters),)
-    assert PauliSum(4, mixed).tfim_spec is None
-    assert PauliSum(1, (PauliString(-1.0, "X"),)).tfim_spec is None
+    assert hamiltonian.spec == spec
+    for circuit_boundary in Boundary:
+        circuit = HvaCircuit(n=n, layers=2, boundary=circuit_boundary)
+        found = closed_chain_spec(circuit, hamiltonian)
+        if Boundary.OPEN in (circuit_boundary, boundary):
+            assert found is None
+        else:
+            assert found is hamiltonian.spec
 
 
 @pytest.mark.parametrize(
@@ -100,8 +78,8 @@ def test_recognition_rejects_other_weights():
         (Boundary.OPEN, build_tfim(TfimSpec(n=5, h=1.1, boundary=Boundary.OPEN))),
         (Boundary.OPEN, build_tfim(TfimSpec(n=5, h=1.1, boundary=Boundary.CLOSED))),
         (Boundary.CLOSED, build_tfim(TfimSpec(n=5, h=1.1, boundary=Boundary.OPEN))),
-        (Boundary.CLOSED, reordered(build_tfim(TfimSpec(n=5, h=1.1)))),
-        (Boundary.CLOSED, PauliSum(5, (PauliString(0.7, "XYZIX"), PauliString(-1.0, "ZZIII")))),
+        (Boundary.CLOSED, build_tfim(TfimSpec(n=5, h=0.0, boundary=Boundary.OPEN))),
+        (Boundary.CLOSED, build_tfim(TfimSpec(n=5, h=-0.7, boundary=Boundary.OPEN))),
     ],
 )
 def test_other_problems_keep_the_statevector(circuit_boundary, hamiltonian):

@@ -5,11 +5,10 @@ import time
 import numpy as np
 import pytest
 
+from hive_vqe import hamiltonian
 from hive_vqe.hamiltonian import (
     MAX_QUBITS,
     Boundary,
-    PauliString,
-    PauliSum,
     TfimSpec,
     build_tfim,
     exact_ground_energy,
@@ -20,7 +19,6 @@ from _oracles import (
     dense_coupling_sum,
     dense_field_sum,
     dense_tfim,
-    gather_apply,
     sylvester_hadamard,
 )
 
@@ -28,53 +26,44 @@ from _oracles import (
 def test_boundary_parse_and_coupling_count():
     assert Boundary.parse("open") is Boundary.OPEN
     assert Boundary.parse(" Closed ") is Boundary.CLOSED
-    assert Boundary.OPEN.coupling_count(5) == 4
-    assert Boundary.CLOSED.coupling_count(5) == 5
+    # All spins up: every bond contributes -1 to the zero-field operator.
+    for boundary, bonds in ((Boundary.OPEN, 4), (Boundary.CLOSED, 5)):
+        dense = build_tfim(TfimSpec(n=5, h=0.0, boundary=boundary)).to_dense()
+        assert dense[0, 0] == -bonds
     with pytest.raises(ValueError, match="boundary"):
         Boundary.parse("ring")
 
 
-def test_pauli_string_validation():
+def test_pauli_sum_drops_zero_terms_and_validates(monkeypatch):
+    # At h = 0 the field part is skipped: no Hadamard transform runs.
+    spec = TfimSpec(n=3, h=0.0, boundary=Boundary.OPEN)
+    op = build_tfim(spec)
+    assert op.spec == spec and op.n == 3
+
+    def refuse(amplitudes):
+        raise AssertionError("field part evaluated at h = 0")
+
+    monkeypatch.setattr(hamiltonian, "walsh_hadamard", refuse)
+    vec = np.arange(8.0) + 1j
+    np.testing.assert_array_equal(op.apply(vec), np.diag(op.to_dense()) * vec)
+    assert op.expectation(vec) == pytest.approx((vec.conj() @ op.to_dense() @ vec).real, rel=1e-14)
+    # The operator is validated through its spec.
     with pytest.raises(ValueError):
-        PauliString(1.0, "XQ")
-    with pytest.raises(ValueError):
-        PauliString(float("nan"), "XX")
-    s = PauliString(-2.0, "ZIZ")
-    assert s.matrix().shape == (8, 8)
-
-
-def test_pauli_string_matrix_frozen_values():
-    # Z on qubit 0 of two: diag(1, 1, -1, -1) with the leftmost-factor convention.
-    z0 = PauliString(1.0, "ZI").matrix()
-    assert np.array_equal(np.diag(z0), np.array([1, 1, -1, -1], dtype=np.complex128))
-    x1 = PauliString(1.0, "IX").matrix()
-    expected = np.zeros((4, 4))
-    expected[0, 1] = expected[1, 0] = expected[2, 3] = expected[3, 2] = 1.0
-    assert np.array_equal(x1, expected.astype(np.complex128))
-
-
-def test_pauli_sum_drops_zero_terms_and_validates():
-    op = PauliSum(2, (PauliString(0.0, "XX"), PauliString(1.5, "ZZ")))
-    assert len(op.terms) == 1
-    with pytest.raises(ValueError):
-        PauliSum(2, (PauliString(1.0, "XXX"),))
+        build_tfim(TfimSpec(n=1, h=1.0, boundary=Boundary.OPEN))
 
 
 def test_apply_matches_dense_matvec():
     rng = np.random.default_rng(11)
-    letters = "IXYZ"
     for n in (2, 3, 5):
-        terms = []
-        for _ in range(6):
-            word = "".join(rng.choice(list(letters)) for _ in range(n))
-            terms.append(PauliString(float(rng.normal()), word))
-        op = PauliSum(n, tuple(terms))
-        dense = op.to_dense()
-        for _ in range(4):
-            vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            np.testing.assert_allclose(op.apply(vec), dense @ vec, atol=1e-12)
-            np.testing.assert_allclose(op.apply(vec), gather_apply(op, vec), atol=1e-12)
-            assert op.expectation(vec) == pytest.approx((vec.conj() @ dense @ vec).real, abs=1e-11)
+        for boundary in Boundary:
+            op = build_tfim(TfimSpec(n=n, h=float(rng.normal()), boundary=boundary))
+            dense = op.to_dense()
+            for _ in range(4):
+                vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                np.testing.assert_allclose(op.apply(vec), dense @ vec, atol=1e-12)
+                assert op.expectation(vec) == pytest.approx(
+                    (vec.conj() @ dense @ vec).real, abs=1e-11
+                )
 
 
 def test_apply_batched_rows():
@@ -87,14 +76,16 @@ def test_apply_batched_rows():
 
 
 def test_build_tfim_term_counts_and_coefficients():
-    open_op = build_tfim(TfimSpec(n=4, h=1.1, boundary=Boundary.OPEN))
-    closed_op = build_tfim(TfimSpec(n=4, h=1.1, boundary=Boundary.CLOSED))
-    assert len(open_op.terms) == 3 + 4
-    assert len(closed_op.terms) == 4 + 4
-    for term in open_op.terms:
-        assert term.coefficient in (-1.0, -1.1)
-    zero_field = build_tfim(TfimSpec(n=4, h=0.0, boundary=Boundary.OPEN))
-    assert len(zero_field.terms) == 3
+    # Bonds weigh -1 on the diagonal; each field term puts -h on the entries
+    # that flip one spin, and nothing else is off the diagonal.
+    flips = np.array([[bin(b ^ c).count("1") == 1 for c in range(16)] for b in range(16)])
+    for boundary, bonds in ((Boundary.OPEN, 3), (Boundary.CLOSED, 4)):
+        for h in (1.1, 0.0):
+            op = build_tfim(TfimSpec(n=4, h=h, boundary=boundary))
+            dense = op.to_dense()
+            assert dense[0, 0] == dense[15, 15] == -bonds
+            off_diagonal = dense - np.diag(np.diag(dense))
+            np.testing.assert_array_equal(off_diagonal, np.where(flips, -h, 0.0))
 
 
 def test_build_tfim_matches_dense_reference():
