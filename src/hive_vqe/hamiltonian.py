@@ -133,8 +133,8 @@ class PauliSum:
 
     The bond sum is diagonal in the computational basis and the field sum in
     the Hadamard basis, each with its ``_spectrum`` table, so the spec is the
-    whole operator.  Every method acts on the last axis of an amplitude
-    array and keeps the leading axes.
+    whole operator.  ``apply`` and ``expectation`` act on the last axis of an
+    amplitude array and keep the leading axes.
     """
 
     spec: TfimSpec
