@@ -8,7 +8,7 @@ import importlib
 
 _EXPORTS = {
     "hamiltonian": "Boundary PauliSum TfimSpec build_tfim exact_ground_energy",
-    "statevector": "StateVector expectation plus_state renormalization_count",
+    "statevector": "StateVector renormalization_count",
     "ansatz": "HvaCircuit energy_and_gradient energy_gradient prepare_state",
     "loss": "Objective VqeObjective vqe_energy vqe_energy_batch",
     "optimizers": "AdamConfig BoaConfig BoaState ConvergenceTrace DivergenceError Site "

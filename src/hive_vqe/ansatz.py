@@ -18,12 +18,13 @@ n = 12 and P = 52).  The backward pass then carries one vector, the
 Hamiltonian image stepped back through the inverse factors, so a gradient
 costs about two circuit applications instead of one per parameter.
 
-Engines: ``energy_and_gradient`` takes the gradient from one forward sweep
-over the momentum pair states of ``freefermion``, with no backward pass, when
-the circuit and the operator are both closed, and ``diagnostics.qfim`` uses
-that sweep for every closed circuit.  Everything else here is statevector
-only: the open chain, ``prepare_state``, ``prepare_amplitudes`` and
-``derivative_stack``, which the information matrix takes for an open chain.
+Engines: ``_on_pairs`` is the one place that picks one.  A closed chain
+runs on the momentum pair states of ``freefermion``, where
+``energy_and_gradient`` takes the gradient from one forward sweep with no
+backward pass; an open chain runs on the statevector.  It also refuses an
+operator on another chain than the circuit's.  ``prepare_state``,
+``prepare_amplitudes`` and ``derivative_stack`` are statevector only; the
+information matrix takes the stack for an open chain.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from hive_vqe.statevector import (
     apply_x_layer,
     apply_zz_layer,
     ensure_normalized,
-    plus_state,
 )
 
 
@@ -86,13 +86,24 @@ def _apply_generator(circuit: HvaCircuit, index: int, amplitudes: np.ndarray) ->
     return apply_field_generator(amplitudes, circuit.n)
 
 
+def _on_pairs(circuit: HvaCircuit, hamiltonian: PauliSum | None = None) -> bool:
+    """Whether the circuit runs on the momentum pairs of ``freefermion``.
+
+    A closed chain does and an open chain runs on the statevector.  An
+    operator on another chain than the circuit's is refused.
+    """
+    spec = None if hamiltonian is None else hamiltonian.spec
+    if spec is not None and (spec.n, spec.boundary) != (circuit.n, circuit.boundary):
+        raise ValueError(
+            f"operator acts on the {spec.boundary.value} chain of {spec.n} sites, "
+            f"circuit on the {circuit.boundary.value} chain of {circuit.n}"
+        )
+    return circuit.boundary is Boundary.CLOSED
+
+
 def prepare_state(circuit: HvaCircuit, theta) -> StateVector:
     """Evolve the uniform superposition to the parameterized trial state."""
-    theta = _check_theta(circuit, theta)
-    amps = plus_state(circuit.n).amplitudes
-    for j in range(circuit.n_params):
-        amps = _apply_factor(circuit, j, float(theta[j]), amps)
-    return StateVector(circuit.n, ensure_normalized(amps))
+    return StateVector(circuit.n, prepare_amplitudes(circuit, _check_theta(circuit, theta)[None])[0])
 
 
 def check_parameter_rows(circuit: HvaCircuit, thetas) -> np.ndarray:
@@ -150,13 +161,8 @@ def energy_and_gradient(
     ``lam`` passes factor ``j`` only while an earlier entry still needs it.
     """
     theta = _check_theta(circuit, theta)
-    if hamiltonian.n != circuit.n:
-        raise ValueError(
-            f"operator acts on {hamiltonian.n} qubits, circuit expects {circuit.n}"
-        )
-    spec = freefermion.closed_chain_spec(circuit, hamiltonian)
-    if spec is not None:
-        return freefermion.energy_and_gradient(spec, theta)
+    if _on_pairs(circuit, hamiltonian):
+        return freefermion.energy_and_gradient(hamiltonian.spec, theta)
     states = np.empty((circuit.n_params + 1, 1 << circuit.n), dtype=np.complex128)
     states[0] = 2.0 ** (-circuit.n / 2.0)
     for j in range(circuit.n_params):

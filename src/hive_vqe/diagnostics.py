@@ -5,9 +5,9 @@ The information matrix is assembled from exact state derivatives,
 counts the locally independent state-space directions.  Every circuit starts
 from the uniform superposition.  A closed chain is then a product of n // 2
 pair states, so its rank is at most 2 (n // 2) and ``freefermion`` computes
-it; an open chain takes the statevector derivative stack.  The loss Hessian
-is built as a central finite difference of the exact gradient, then
-symmetrized.
+it; an open chain takes the statevector derivative stack.  ``ansatz._on_pairs``
+makes that choice.  The loss Hessian is a central finite difference of the
+exact gradient, on the same engine as the energy, then symmetrized.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from hive_vqe import freefermion
-from hive_vqe.ansatz import HvaCircuit, _check_theta, derivative_stack, energy_gradient
-from hive_vqe.hamiltonian import Boundary, PauliSum
+from hive_vqe.ansatz import HvaCircuit, _check_theta, _on_pairs, derivative_stack, energy_gradient
+from hive_vqe.hamiltonian import PauliSum
 from hive_vqe.statevector import StateVector
 
 QFIM_SYMMETRY_TOLERANCE = 1e-9
@@ -103,7 +103,7 @@ def fubini_study_distance(a: StateVector, b: StateVector) -> float:
 def qfim(circuit: HvaCircuit, theta) -> QfimMatrix:
     """Information matrix of the prepared state at one parameter point."""
     theta = _check_theta(circuit, theta)
-    if circuit.boundary is Boundary.CLOSED:
+    if _on_pairs(circuit):
         entries = freefermion.qfim(circuit.n, theta)
     else:
         psi, derivatives = derivative_stack(circuit, theta)

@@ -41,6 +41,9 @@ and ``ceil(log2 P)`` levels of elementwise products replace P - 1 sequential
 O(B L n 2**n) on the statevector.
 Each pair adds a term of rank at most 2 to the information matrix, so its
 rank is at most 2 (n // 2) (Larocca et al., arXiv:2105.14377).
+
+``ansatz._on_pairs`` sends every closed circuit here and has checked that
+the operator is on the same chain, so the entry points take its spec.
 """
 
 from __future__ import annotations
@@ -49,17 +52,8 @@ import functools
 
 import numpy as np
 
-from hive_vqe.hamiltonian import Boundary, PauliSum, TfimSpec
+from hive_vqe.hamiltonian import TfimSpec
 from hive_vqe.statevector import ensure_normalized
-
-
-def closed_chain_spec(circuit, hamiltonian: PauliSum) -> TfimSpec | None:
-    """The operator's spec when the circuit and the operator are both closed, else None.
-
-    Every open pair stays on the statevector.  Callers check the qubit counts.
-    """
-    closed = circuit.boundary is hamiltonian.spec.boundary is Boundary.CLOSED
-    return hamiltonian.spec if closed else None
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -476,8 +476,7 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
 def run_diagnose(config: ExperimentConfig, theta_source: str, out_dir: str | Path) -> dict[str, object]:
     """Write qfim.csv, hessian.csv, theta.txt, and spectrum.txt for one point."""
     theta, origin = resolve_theta(config, theta_source)
-    circuit = HvaCircuit(n=config.qubits, layers=config.depth, boundary=config.boundary)
-    hamiltonian = build_tfim(TfimSpec(n=config.qubits, h=config.h, boundary=config.boundary))
+    circuit, hamiltonian, _ = build_problem(config)
 
     info = qfim(circuit, theta)
     curvature = hessian(circuit, theta, hamiltonian)

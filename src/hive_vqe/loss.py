@@ -5,9 +5,10 @@ prepared trial state.  Both optimizers draw their starting points from
 ``PARAMETER_BOUNDS``, and the swarm keeps its foragers inside it.
 
 Engines: ``vqe_energy_batch``, the swarm's call, and ``energy_and_gradient``,
-Adam's, run on the momentum pair engine of ``freefermion`` when the circuit
-and the operator are both closed.  ``vqe_energy`` and every open circuit or
-operator run on the statevector.
+Adam's, run on the momentum pair engine of ``freefermion`` for a closed
+chain and on the statevector for an open one (``ansatz._on_pairs``).
+``vqe_energy`` is one row of ``vqe_energy_batch``.  An operator on another
+chain than the circuit's is refused.
 """
 
 from __future__ import annotations
@@ -17,37 +18,31 @@ import numpy as np
 from hive_vqe import freefermion
 from hive_vqe.ansatz import (
     HvaCircuit,
+    _check_theta,
+    _on_pairs,
     check_parameter_rows,
     energy_and_gradient,
     prepare_amplitudes,
-    prepare_state,
 )
 from hive_vqe.hamiltonian import PauliSum
-from hive_vqe.statevector import expectation
 
 PARAMETER_BOUNDS = (-np.pi, np.pi)
 
 
 def vqe_energy(circuit: HvaCircuit, theta, hamiltonian: PauliSum) -> float:
-    """Energy of the prepared trial state."""
-    return expectation(prepare_state(circuit, theta), hamiltonian)
+    """Energy of the prepared trial state, one row of ``vqe_energy_batch``."""
+    return float(vqe_energy_batch(circuit, _check_theta(circuit, theta)[None], hamiltonian)[0])
 
 
 def vqe_energy_batch(circuit: HvaCircuit, thetas: np.ndarray, hamiltonian: PauliSum) -> np.ndarray:
     """Energies for a batch of parameter rows in one vectorized pass.
 
-    The pass runs on pair states when ``freefermion.closed_chain_spec``
-    accepts the problem, else on the batched statevector.
+    The pass runs on pair states for a closed chain, else on the batched
+    statevector.
     """
-    if hamiltonian.n != circuit.n:
-        raise ValueError(
-            f"operator acts on {hamiltonian.n} qubits, circuit expects {circuit.n}"
-        )
-    spec = freefermion.closed_chain_spec(circuit, hamiltonian)
-    if spec is not None:
-        return freefermion.batch_energies(spec, check_parameter_rows(circuit, thetas))
-    amps = prepare_amplitudes(circuit, thetas)
-    return hamiltonian.expectation(amps)
+    if _on_pairs(circuit, hamiltonian):
+        return freefermion.batch_energies(hamiltonian.spec, check_parameter_rows(circuit, thetas))
+    return hamiltonian.expectation(prepare_amplitudes(circuit, thetas))
 
 
 class Objective:
@@ -102,10 +97,7 @@ class VqeObjective(Objective):
 
     def __init__(self, circuit: HvaCircuit, hamiltonian: PauliSum,
                  reference: float | None = None):
-        if hamiltonian.n != circuit.n:
-            raise ValueError(
-                f"operator acts on {hamiltonian.n} qubits, circuit expects {circuit.n}"
-            )
+        _on_pairs(circuit, hamiltonian)  # refuses an operator on another chain
         super().__init__(circuit.n_params, reference=reference)
         self.circuit = circuit
         self.hamiltonian = hamiltonian

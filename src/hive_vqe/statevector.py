@@ -1,7 +1,8 @@
 """Dense complex statevector engine for chains of 2 to 12 qubits.
 
 This is the reference engine: it serves the open chain, always from the
-uniform superposition, and cross-checks the pair engine of ``freefermion``.
+uniform superposition, and cross-checks the pair engine of ``freefermion``,
+which ``ansatz._on_pairs`` picks for every closed chain.
 Each circuit generator is diagonal in a known basis, so no matrix
 exponential is ever formed.  The coupling sum ``sum Z_i Z_{i+1}`` is
 diagonal in the computational basis, with eigenvalue ``sum_bonds z_i z_j``
@@ -21,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hive_vqe.hamiltonian import (
-    Boundary,
-    PauliSum,
-    _spectrum,
-    check_qubit_count,
-    walsh_hadamard,
-)
+from hive_vqe.hamiltonian import Boundary, _spectrum, check_qubit_count, walsh_hadamard
 
 NORM_DRIFT_TOLERANCE = 1e-8
 
@@ -57,12 +52,6 @@ class StateVector:
             raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-
-def plus_state(n: int) -> StateVector:
-    """Uniform superposition, the shared circuit input."""
-    check_qubit_count(n)
-    return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128))
 
 
 def _phases(angle, n: int, boundary: Boundary | None, scale: float = 1.0) -> np.ndarray:
@@ -124,9 +113,3 @@ def renormalization_count() -> int:
     """Total norm repairs since import, for drift diagnostics."""
     return _renormalizations
 
-
-def expectation(state: StateVector, op: PauliSum) -> float:
-    """Real expectation value of the chain Hamiltonian."""
-    if op.n != state.n:
-        raise ValueError(f"operator acts on {op.n} qubits, state has {state.n}")
-    return float(op.expectation(state.amplitudes))

@@ -12,7 +12,7 @@ from hive_vqe.ansatz import (
     prepare_state,
 )
 from hive_vqe.hamiltonian import Boundary, TfimSpec, build_tfim
-from hive_vqe.statevector import apply_x_layer, apply_zz_layer, plus_state
+from hive_vqe.statevector import apply_x_layer, apply_zz_layer
 
 from _oracles import dense_unitary, plus_vec, state_derivative
 
@@ -38,7 +38,7 @@ def test_zero_parameters_fix_uniform_superposition():
 def test_single_layer_order_coupling_then_field():
     circuit = HvaCircuit(n=3, layers=1, boundary=Boundary.OPEN)
     theta = np.array([0.37, -0.82])
-    coupled = apply_zz_layer(plus_state(3).amplitudes, 0.37, 3, Boundary.OPEN)
+    coupled = apply_zz_layer(plus_vec(3), 0.37, 3, Boundary.OPEN)
     manual = apply_x_layer(coupled, -0.82, 3)
     np.testing.assert_allclose(prepare_state(circuit, theta).amplitudes, manual, atol=1e-15)
 

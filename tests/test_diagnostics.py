@@ -16,9 +16,9 @@ from hive_vqe.diagnostics import (
 )
 from hive_vqe.hamiltonian import Boundary, TfimSpec, build_tfim
 from hive_vqe.loss import vqe_energy
-from hive_vqe.statevector import StateVector, plus_state
+from hive_vqe.statevector import StateVector
 
-from _oracles import stack_qfim
+from _oracles import plus_vec, stack_qfim
 
 
 def fd_state_derivatives(circuit, theta, step=1e-5):
@@ -49,7 +49,7 @@ def fd_qfim(circuit, theta, step=1e-5):
 
 
 def test_distance_frozen_endpoints():
-    a = plus_state(3)
+    a = StateVector(3, plus_vec(3))
     assert fubini_study_distance(a, a) == pytest.approx(0.0, abs=1e-15)
     e0 = np.zeros(8, dtype=np.complex128)
     e0[0] = 1.0
@@ -61,7 +61,7 @@ def test_distance_frozen_endpoints():
         0.0, abs=1e-12
     )
     with pytest.raises(ValueError, match="different qubit counts"):
-        fubini_study_distance(a, plus_state(2))
+        fubini_study_distance(a, StateVector(2, plus_vec(2)))
 
 
 def test_qfim_matches_finite_difference_oracle():

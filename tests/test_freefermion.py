@@ -1,15 +1,14 @@
-"""The momentum pseudo-spin engine against the statevector, and its dispatch."""
+"""The momentum pseudo-spin engine against the statevector, and the engine seam."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from hive_vqe import freefermion, loss
+from hive_vqe import ansatz, diagnostics, freefermion, loss
 from hive_vqe.ansatz import HvaCircuit, energy_and_gradient, prepare_amplitudes
-from hive_vqe.freefermion import closed_chain_spec
 from hive_vqe.hamiltonian import Boundary, TfimSpec, build_tfim, exact_ground_energy
-from hive_vqe.loss import VqeObjective, vqe_energy_batch
+from hive_vqe.loss import VqeObjective, vqe_energy, vqe_energy_batch
 from hive_vqe.optimizers import AdamConfig, BoaConfig, Termination, run_optimization
 
 RTOL = 1e-12
@@ -23,20 +22,17 @@ def statevector_energies(circuit, thetas, hamiltonian):
 @pytest.mark.parametrize("h", [0.0, 1.1, -0.7])
 @pytest.mark.parametrize("n", range(2, 13))
 def test_engine_matches_statevector(n, h, layers, monkeypatch):
-    spec = TfimSpec(n=n, h=h, boundary=Boundary.CLOSED)
     circuit = HvaCircuit(n=n, layers=layers)
-    hamiltonian = build_tfim(spec)
-    assert closed_chain_spec(circuit, hamiltonian) == spec
+    hamiltonian = build_tfim(TfimSpec(n=n, h=h, boundary=Boundary.CLOSED))
+    assert ansatz._on_pairs(circuit, hamiltonian)
     rng = np.random.default_rng(10 * n + layers)
     thetas = rng.uniform(-np.pi, np.pi, size=(5, circuit.n_params))
 
     energies = vqe_energy_batch(circuit, thetas, hamiltonian)
-    gradients = [energy_and_gradient(circuit, theta, hamiltonian) for theta in thetas[:2]]
-
-    monkeypatch.setattr(freefermion, "closed_chain_spec", lambda circuit, hamiltonian: None)
-    reference = vqe_energy_batch(circuit, thetas, hamiltonian)
-    np.testing.assert_array_equal(reference, statevector_energies(circuit, thetas, hamiltonian))
+    reference = statevector_energies(circuit, thetas, hamiltonian)
     np.testing.assert_allclose(energies, reference, rtol=RTOL, atol=RTOL * n)
+    gradients = [energy_and_gradient(circuit, theta, hamiltonian) for theta in thetas[:2]]
+    monkeypatch.setattr(ansatz, "_on_pairs", lambda circuit, hamiltonian=None: False)
     for theta, (energy, grad) in zip(thetas, gradients):
         ref_energy, ref_grad = energy_and_gradient(circuit, theta, hamiltonian)
         assert energy == pytest.approx(ref_energy, rel=RTOL, abs=RTOL * n)
@@ -53,41 +49,58 @@ def test_engine_skips_the_statevector(monkeypatch):
     hamiltonian = build_tfim(TfimSpec(n=6, h=1.1))
     energies = vqe_energy_batch(circuit, np.zeros((3, 4)), hamiltonian)
     np.testing.assert_allclose(energies, -6.6, rtol=RTOL)
+    assert vqe_energy(circuit, np.zeros(4), hamiltonian) == pytest.approx(-6.6, rel=RTOL)
+    objective = VqeObjective(circuit, hamiltonian)
+    assert objective.value(np.zeros(4)) == pytest.approx(-6.6, rel=RTOL)
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("h", [0.0, 1.1, -0.7])
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_tfim_recognition(n, h, boundary):
-    """The operator carries its spec; the engine takes it exactly when both ends are closed."""
+    """The operator carries its spec; the seam picks the pairs exactly for a closed chain."""
     spec = TfimSpec(n=n, h=h, boundary=boundary)
     hamiltonian = build_tfim(spec)
     assert hamiltonian.spec == spec
     for circuit_boundary in Boundary:
         circuit = HvaCircuit(n=n, layers=2, boundary=circuit_boundary)
-        found = closed_chain_spec(circuit, hamiltonian)
-        if Boundary.OPEN in (circuit_boundary, boundary):
-            assert found is None
+        if circuit_boundary is boundary:
+            assert ansatz._on_pairs(circuit, hamiltonian) is (boundary is Boundary.CLOSED)
+            assert ansatz._on_pairs(circuit) is (boundary is Boundary.CLOSED)
         else:
-            assert found is hamiltonian.spec
+            with pytest.raises(ValueError, match="operator acts on"):
+                ansatz._on_pairs(circuit, hamiltonian)
 
 
 @pytest.mark.parametrize(
-    "circuit_boundary, hamiltonian",
+    "circuit_boundary, spec",
     [
-        (Boundary.OPEN, build_tfim(TfimSpec(n=5, h=1.1, boundary=Boundary.OPEN))),
-        (Boundary.OPEN, build_tfim(TfimSpec(n=5, h=1.1, boundary=Boundary.CLOSED))),
-        (Boundary.CLOSED, build_tfim(TfimSpec(n=5, h=1.1, boundary=Boundary.OPEN))),
-        (Boundary.CLOSED, build_tfim(TfimSpec(n=5, h=0.0, boundary=Boundary.OPEN))),
-        (Boundary.CLOSED, build_tfim(TfimSpec(n=5, h=-0.7, boundary=Boundary.OPEN))),
+        (Boundary.CLOSED, TfimSpec(n=5, h=1.1, boundary=Boundary.CLOSED)),
+        (Boundary.CLOSED, TfimSpec(n=4, h=1.1, boundary=Boundary.OPEN)),
+        (Boundary.OPEN, TfimSpec(n=4, h=1.1, boundary=Boundary.CLOSED)),
+        (Boundary.OPEN, TfimSpec(n=3, h=1.1, boundary=Boundary.OPEN)),
     ],
 )
-def test_other_problems_keep_the_statevector(circuit_boundary, hamiltonian):
-    circuit = HvaCircuit(n=5, layers=3, boundary=circuit_boundary)
-    assert closed_chain_spec(circuit, hamiltonian) is None
-    thetas = np.random.default_rng(5).uniform(-np.pi, np.pi, size=(4, circuit.n_params))
-    energies = vqe_energy_batch(circuit, thetas, hamiltonian)
-    assert np.array_equal(energies, statevector_energies(circuit, thetas, hamiltonian))
+def test_a_mismatched_operator_is_refused(circuit_boundary, spec):
+    """Every entry that pairs a circuit with an operator refuses another chain, in one message."""
+    circuit = HvaCircuit(n=4, layers=3, boundary=circuit_boundary)
+    hamiltonian = build_tfim(spec)
+    message = (
+        f"operator acts on the {spec.boundary.value} chain of {spec.n} sites, "
+        f"circuit on the {circuit_boundary.value} chain of 4"
+    )
+    theta = np.zeros(circuit.n_params)
+    calls = [
+        lambda: vqe_energy(circuit, theta, hamiltonian),
+        lambda: vqe_energy_batch(circuit, theta[None], hamiltonian),
+        lambda: energy_and_gradient(circuit, theta, hamiltonian),
+        lambda: VqeObjective(circuit, hamiltonian),
+        lambda: diagnostics.hessian(circuit, theta, hamiltonian),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,6 @@ from hive_vqe.statevector import (
     apply_x_layer,
     apply_zz_layer,
     ensure_normalized,
-    expectation,
-    plus_state,
     renormalization_count,
 )
 
@@ -25,19 +23,12 @@ def random_state(rng, n):
     return vec / np.linalg.norm(vec)
 
 
-def test_plus_state_amplitudes():
-    for n in (2, 3, 6):
-        state = plus_state(n)
-        np.testing.assert_array_equal(state.amplitudes, plus_vec(n))
-        assert np.vdot(state.amplitudes, state.amplitudes).real == pytest.approx(1.0, abs=1e-15)
-
-
 def test_state_vector_validation():
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3, dtype=np.complex128))
     with pytest.raises(ValueError):
         StateVector(2, np.array([np.nan, 0, 0, 0], dtype=np.complex128))
-    state = plus_state(2)
+    state = StateVector(2, plus_vec(2))
     with pytest.raises(ValueError):
         StateVector(1, np.ones(2, dtype=np.complex128))
     assert not state.amplitudes.flags.writeable
@@ -134,7 +125,7 @@ def test_generator_actions_match_dense():
 
 def test_ensure_normalized_counts_repairs():
     before = renormalization_count()
-    clean = plus_state(3).amplitudes
+    clean = plus_vec(3)
     np.testing.assert_array_equal(ensure_normalized(clean), clean)
     assert renormalization_count() == before
     drifted = clean * (1.0 + 1e-4)
@@ -153,11 +144,8 @@ def test_expectation_and_inner_product():
     spec = TfimSpec(n=3, h=1.1, boundary=Boundary.CLOSED)
     op = build_tfim(spec)
     vec = random_state(rng, 3)
-    state = StateVector(3, vec)
     ref = float((vec.conj() @ (op.to_dense() @ vec)).real)
-    assert expectation(state, op) == pytest.approx(ref, abs=1e-12)
-    with pytest.raises(ValueError, match="operator acts on 3 qubits"):
-        expectation(StateVector(2, random_state(rng, 2)), op)
+    assert op.expectation(StateVector(3, vec).amplitudes) == pytest.approx(ref, abs=1e-12)
 
 
 def test_basis_convention_qubit0_most_significant():
