@@ -5,26 +5,25 @@ One layer applies ``exp(-i a_l * sum Z_i Z_{i+1})`` followed by
 ``(a_1, b_1, a_2, b_2, ...)`` so a depth-L circuit carries 2L parameters.
 All angles at zero leave the uniform superposition untouched.
 
-Every circuit starts from the uniform superposition.  State derivatives are
-exact: differentiating the product inserts ``-i G`` right after the
-corresponding exponential factor, where ``G`` is that factor's generator.
-``derivative_stack`` builds all P of them in one forward sweep over a
-growing block of rows, each row branching off the running state right after
-its factor.
+Engines: ``_on_pairs`` is the one place that picks one, and it refuses an
+operator on another chain than the circuit's.  A closed chain, which every
+shipped config and benchmark workload uses, runs on the momentum pair states
+of ``freefermion``: energies, the gradient and the information matrix come
+from one forward scan with no backward pass, at O(L n) work per row.  An
+open chain runs on the statevector, here.
 
-Energy gradients use adjoint differentiation.  The forward pass keeps its
-P + 1 intermediate states, (P + 1) * 2**n complex amplitudes (3.4 MB at
-n = 12 and P = 52).  The backward pass then carries one vector, the
-Hamiltonian image stepped back through the inverse factors, so a gradient
-costs about two circuit applications instead of one per parameter.
-
-Engines: ``_on_pairs`` is the one place that picks one.  A closed chain
-runs on the momentum pair states of ``freefermion``, where
-``energy_and_gradient`` takes the gradient from one forward sweep with no
-backward pass; an open chain runs on the statevector.  It also refuses an
-operator on another chain than the circuit's.  ``prepare_state``,
-``prepare_amplitudes`` and ``derivative_stack`` are statevector only; the
-information matrix takes the stack for an open chain.
+The statevector derivatives are exact as well: differentiating the product
+inserts ``-i G`` right after the corresponding exponential factor, where
+``G`` is that factor's generator.  ``derivative_stack`` builds all P of them
+in one forward sweep over a growing block of rows, each row branching off
+the running state right after its factor; an open chain's information matrix
+takes the stack.  An open chain's gradient uses adjoint differentiation.
+The forward pass keeps its P + 1 intermediate states, (P + 1) * 2**n complex
+amplitudes (3.4 MB at n = 12 and P = 52).  The backward pass then carries
+one vector, the Hamiltonian image stepped back through the inverse factors,
+so a gradient costs about two circuit applications instead of one per
+parameter.  ``prepare_state``, ``prepare_amplitudes`` and
+``derivative_stack`` are statevector only.
 """
 
 from __future__ import annotations

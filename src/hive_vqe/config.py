@@ -73,21 +73,28 @@ class ExperimentConfig:
             )
         if not self.sweep_grid:
             raise ConfigError("sweep.grid: expected at least one qubits:depth cell")
-        for n, depth in self.sweep_grid:
+        # A repeated entry would run one cell directory twice and count it twice.
+        for i, (n, depth) in enumerate(self.sweep_grid):
             if not MIN_QUBITS <= n <= MAX_QUBITS or depth < 1:
                 raise ConfigError(f"sweep.grid: invalid cell {n}:{depth}")
+            if (n, depth) in self.sweep_grid[:i]:
+                raise ConfigError(f"sweep.grid: repeated cell {n}:{depth}")
         if not self.sweep_optimizers:
             raise ConfigError("sweep.optimizers: expected at least one optimizer")
-        for name in self.sweep_optimizers:
+        for i, name in enumerate(self.sweep_optimizers):
             if name not in OPTIMIZER_NAMES:
                 raise ConfigError(
                     f"sweep.optimizers: expected one of {'/'.join(OPTIMIZER_NAMES)}, got {name!r}"
                 )
+            if name in self.sweep_optimizers[:i]:
+                raise ConfigError(f"sweep.optimizers: repeated optimizer {name!r}")
         if not self.sweep_seeds:
             raise ConfigError("sweep.seeds: expected at least one seed")
-        for s in self.sweep_seeds:
+        for i, s in enumerate(self.sweep_seeds):
             if not 0 <= s < SEED_LIMIT:
                 raise ConfigError(f"sweep.seeds: expected unsigned 64-bit integers, got {s}")
+            if s in self.sweep_seeds[:i]:
+                raise ConfigError(f"sweep.seeds: repeated seed {s}")
 
 
 def _parse_int(field_path: str, value: str) -> int:

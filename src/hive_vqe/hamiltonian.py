@@ -97,8 +97,8 @@ class TfimSpec:
     boundary: Boundary = Boundary.CLOSED
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"chain needs at least 2 sites, got n={self.n}")
+        if self.n < MIN_QUBITS:
+            raise ValueError(f"chain needs at least {MIN_QUBITS} sites, got n={self.n}")
         if not np.isfinite(self.h):
             raise ValueError("transverse field strength must be finite")
 

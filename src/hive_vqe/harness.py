@@ -301,8 +301,10 @@ def _cell(job: _SweepJob) -> tuple[dict[str, object], Path]:
 
 
 def _record_failure(row: dict[str, object], cell_dir: Path, exc: Exception) -> dict[str, object]:
-    """Write the cell's error.txt and mark its row failed."""
+    """Replace the cell's run.json and trace.csv with error.txt and mark its row failed."""
     cell_dir.mkdir(parents=True, exist_ok=True)
+    for stale in ("run.json", "trace.csv"):
+        (cell_dir / stale).unlink(missing_ok=True)
     message = f"{type(exc).__name__}: {exc}"
     _write_atomically(cell_dir / "error.txt", message + "\n")
     row["error"] = message
@@ -316,6 +318,7 @@ def _sweep_job(job: _SweepJob) -> dict[str, object]:
         cfg = replace(base, seed=seed, qubits=qubits, depth=depth, optimizer=optimizer)
         artifact = execute_run(cfg)
         save_run(artifact, cell_dir)
+        (cell_dir / "error.txt").unlink(missing_ok=True)
         row["reached_target"] = artifact.trace.reached_target
         row["iterations"] = artifact.trace.iterations
         row["final_abs_error"] = artifact.trace.final_abs_error

@@ -124,6 +124,20 @@ def test_semantic_validation():
         build("qubits = 4\ndepth = 4\nsweep.grid = 44:1\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("sweep.grid = 4:4, 6:10, 4:4", "sweep.grid: repeated cell 4:4"),
+        ("sweep.optimizers = boa, adam, BOA", "sweep.optimizers: repeated optimizer 'boa'"),
+        ("sweep.seeds = 1, 2, 1", "sweep.seeds: repeated seed 1"),
+    ],
+)
+def test_sweep_refuses_repeated_entries(line, message):
+    with pytest.raises(ConfigError) as raised:
+        build(f"qubits = 4\ndepth = 4\n{line}\n")
+    assert str(raised.value) == message
+
+
 def test_mapping_round_trip():
     config = build(
         "qubits = 6\ndepth = 10\nh = 0.5\nboundary = open\nseed = 42\n"

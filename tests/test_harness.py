@@ -215,6 +215,33 @@ def test_sweep_records_partial_failures(tmp_path, monkeypatch):
     assert (tmp_path / "sweep" / "summary.csv").is_file()
 
 
+def test_sweep_success_removes_a_stale_error_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
+    out = tmp_path / "sweep"
+    stale = out / cell_name(2, 1, "boa", 1) / "error.txt"
+    stale.parent.mkdir(parents=True)
+    stale.write_text("RuntimeError: an earlier sweep\n")
+    assert run_sweep(sweep_config(), out).error_count == 0
+    assert not stale.exists()
+    assert (stale.parent / "run.json").is_file()
+    assert (stale.parent / "trace.csv").is_file()
+
+
+def test_sweep_failure_removes_a_stale_run(tmp_path, monkeypatch):
+    monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
+    out = tmp_path / "sweep"
+    run_sweep(sweep_config(), out)
+    cell = out / cell_name(2, 1, "boa", 1)
+    assert (cell / "run.json").is_file()
+
+    def failing(config):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(harness, "execute_run", failing)
+    assert run_sweep(sweep_config(), out).error_count == 4
+    assert sorted(p.name for p in cell.iterdir()) == ["error.txt"]
+
+
 def test_sweep_error_file_failure_leaves_no_partial_file(tmp_path, monkeypatch):
     monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
     real = harness.execute_run
