@@ -149,7 +149,11 @@ def derivative_stack(circuit: HvaCircuit, theta) -> tuple[np.ndarray, np.ndarray
 def energy_and_gradient(
     circuit: HvaCircuit, theta, hamiltonian: PauliSum
 ) -> tuple[float, np.ndarray]:
-    """Energy and its exact parameter gradient in one adjoint sweep.
+    """Energy and its exact parameter gradient.
+
+    A closed chain returns ``freefermion.energy_and_gradient``: one forward
+    scan of the momentum pair states, with no backward pass.  An open chain
+    takes one adjoint sweep on the statevector.
 
     The forward pass stores every intermediate state: ``states[j]`` is the
     state before factor ``j``, in one ``(P + 1, 2**n)`` array.  The backward

@@ -19,7 +19,7 @@ import numpy as np
 
 from hive_vqe import __version__
 from hive_vqe.config import ConfigError, load_config
-from hive_vqe.hamiltonian import Boundary, TfimSpec, exact_ground_energy
+from hive_vqe.hamiltonian import MAX_QUBITS, MIN_QUBITS, Boundary, TfimSpec, exact_ground_energy
 from hive_vqe.harness import (
     _write_atomically,
     execute_run,
@@ -45,6 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _finite_float(text: str) -> float:
+    """Argument type for a finite number: ``inf`` and ``nan`` are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hive-vqe",
@@ -55,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     oracle = sub.add_parser("oracle", help="print the exact ground-state energy")
-    oracle.add_argument("qubits", type=int, help="chain length (2..12)")
+    oracle.add_argument("qubits", type=int, help=f"chain length ({MIN_QUBITS}..{MAX_QUBITS})")
     oracle.add_argument("h", type=float, help="transverse field strength")
     oracle.add_argument("boundary", help="open or closed")
     oracle.set_defaults(func=_cmd_oracle)
@@ -88,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="trace.csv files or run directories containing trace.csv",
     )
     plot.add_argument("--out", default="plot.svg", help="output SVG path")
-    plot.add_argument("--target", type=float, default=1e-6, help="dashed target line")
+    plot.add_argument("--target", type=_finite_float, default=1e-6, help="dashed target line")
     plot.add_argument("--title", default="convergence", help="chart title")
     plot.set_defaults(func=_cmd_plot)
 

@@ -16,7 +16,7 @@ import datetime
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from hive_vqe.loss import VqeObjective
 from hive_vqe.optimizers import (
     ConvergenceTrace,
     DivergenceError,
+    Termination,
     TraceRecord,
     run_optimization,
 )
@@ -80,8 +81,7 @@ def build_problem(config: ExperimentConfig) -> tuple[HvaCircuit, PauliSum, float
     return circuit, build_tfim(spec), exact_ground_energy(spec)
 
 
-def _restart_sort_key(item: tuple[RestartSummary, ConvergenceTrace]) -> tuple:
-    summary = item[0]
+def _restart_sort_key(summary: RestartSummary) -> tuple:
     if summary.diverged:
         return (2, float("inf"), summary.index)
     if summary.reached_target:
@@ -96,63 +96,50 @@ def execute_run(config: ExperimentConfig) -> RunArtifact:
     The swarm runs once with the config seed.  Gradient descent runs
     ``adam_restarts`` times from independent uniform starts (restart ``r``
     seeds its stream from the pair ``(seed, r)``) and keeps the best run:
-    fastest to reach the target, else lowest final error.  If every restart
-    diverges the last divergence is re-raised.  The problem is built once;
-    each restart counts its evaluations on its own objective.
+    fastest to reach the target, else lowest final error.  A diverged
+    restart is recorded and never kept; if every restart diverges the run
+    raises ``DivergenceError``.  The problem is built once; each restart
+    counts its evaluations on its own objective.
     """
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     start = time.perf_counter()
     circuit, hamiltonian, ground = build_problem(config)
 
     if config.optimizer == "boa":
-        trace = run_optimization(
-            VqeObjective(circuit, hamiltonian, reference=ground), config.boa, config.seed,
+        method, seeds = config.boa, [config.seed]
+    else:
+        method = config.adam
+        seeds = [_derived_seed(config.seed, index) for index in range(config.adam_restarts)]
+    traces = [
+        run_optimization(
+            VqeObjective(circuit, hamiltonian, reference=ground), method, seed,
             max_iterations=config.max_iterations, target=config.target,
         )
-        restarts = None
-        seed = config.seed
-    elif config.optimizer == "adam":
-        completed: list[tuple[RestartSummary, ConvergenceTrace]] = []
-        last_divergence: DivergenceError | None = None
-        for index in range(config.adam_restarts):
-            restart_seed = _derived_seed(config.seed, index)
-            try:
-                trace = run_optimization(
-                    VqeObjective(circuit, hamiltonian, reference=ground),
-                    config.adam, restart_seed,
-                    max_iterations=config.max_iterations, target=config.target,
-                )
-                diverged = False
-            except DivergenceError as exc:
-                trace = exc.trace
-                diverged = True
-                last_divergence = exc
-            completed.append((
-                RestartSummary(
-                    index=index,
-                    seed=restart_seed,
-                    reached_target=trace.reached_target,
-                    diverged=diverged,
-                    iterations=trace.iterations,
-                    final_abs_error=trace.final_abs_error,
-                ),
-                trace,
-            ))
-        if all(summary.diverged for summary, _ in completed):
-            assert last_divergence is not None
-            raise last_divergence
-        best_summary, trace = min(completed, key=_restart_sort_key)
-        restarts = tuple(summary for summary, _ in completed)
-        seed = best_summary.seed
-    else:
-        raise ConfigError(f"optimizer: unsupported optimizer {config.optimizer!r}")
+        for seed in seeds
+    ]
+    summaries = [
+        RestartSummary(
+            index=index,
+            seed=seed,
+            reached_target=trace.reached_target,
+            diverged=trace.terminated_by is Termination.DIVERGED,
+            iterations=trace.iterations,
+            final_abs_error=trace.final_abs_error,
+        )
+        for index, (seed, trace) in enumerate(zip(seeds, traces))
+    ]
+    if all(summary.diverged for summary in summaries):
+        raise DivergenceError(
+            f"non-finite loss or gradient at iteration {summaries[-1].iterations + 1}"
+        )
+    best = min(summaries, key=_restart_sort_key)
 
     return RunArtifact(
         config=config,
-        seed=seed,
+        seed=best.seed,
         ground_energy=ground,
-        trace=trace,
-        restarts=restarts,
+        trace=traces[best.index],
+        restarts=tuple(summaries) if config.optimizer == "adam" else None,
         started_at=started_at,
         duration_ms=(time.perf_counter() - start) * 1e3,
     )
@@ -246,15 +233,7 @@ def save_run(artifact: RunArtifact, out_dir: str | Path) -> dict[str, Path]:
         "started_at": artifact.started_at,
         "duration_ms": artifact.duration_ms,
         "restarts": None if artifact.restarts is None else [
-            {
-                "index": s.index,
-                "seed": s.seed,
-                "reached_target": s.reached_target,
-                "diverged": s.diverged,
-                "iterations": s.iterations,
-                "final_abs_error": s.final_abs_error,
-            }
-            for s in artifact.restarts
+            asdict(s) for s in artifact.restarts
         ],
     }
     _write_atomically(
@@ -450,8 +429,6 @@ def resolve_theta(config: ExperimentConfig, source: str) -> tuple[np.ndarray, st
     if source == "best":
         artifact = execute_run(config)
         theta = artifact.trace.best_parameters
-        if theta is None:
-            raise ConfigError("theta: optimizer run produced no parameters")
         return np.asarray(theta, dtype=np.float64), f"best-of-run (seed {artifact.seed})"
     path = Path(source)
     try:

@@ -14,6 +14,10 @@ carries an infinite placeholder fitness, so it sorts last.  By default the
 scout pool replaces it next cycle, which keeps every cycle's evaluation
 budget exactly constant.  With ``keep_nonselected`` its recycled position is
 evaluated next cycle instead, one extra row per such site.
+
+The gradient driver runs bias-corrected Adam from a uniform start.  A
+non-finite loss or gradient is not raised: it ends the run with
+``Termination.DIVERGED``, a trace like any other.
 """
 
 from __future__ import annotations
@@ -85,11 +89,7 @@ class ConvergenceTrace:
 
 
 class DivergenceError(RuntimeError):
-    """A gradient run produced non-finite values; carries the partial trace."""
-
-    def __init__(self, message: str, trace: ConvergenceTrace):
-        super().__init__(message)
-        self.trace = trace
+    """Every restart of a gradient run met a non-finite loss or gradient."""
 
 
 @dataclass(frozen=True)
@@ -357,7 +357,9 @@ def run_optimization(
     The trace records the best-so-far energy for the swarm and the current
     iterate's energy for the gradient method.  ``abs_error`` compares against
     ``objective.reference`` when one is set, else stays NaN and the target
-    can never fire.
+    can never fire.  A non-finite loss or gradient ends a gradient run with
+    ``Termination.DIVERGED``: its trace holds the records before the failing
+    iteration and the best parameters visited so far.
     """
     seed = _check_seed(seed)
     if max_iterations < 1:
@@ -427,10 +429,8 @@ def _run_adam(
     for iteration in range(1, max_iterations + 1):
         energy, gradient = objective.value_and_grad(theta)
         if not np.isfinite(energy) or not np.all(np.isfinite(gradient)):
-            trace = ConvergenceTrace(records, Termination.DIVERGED, best_theta)
-            raise DivergenceError(
-                f"non-finite loss or gradient at iteration {iteration}", trace
-            )
+            termination = Termination.DIVERGED
+            break
         if energy < best_energy:
             best_energy = energy
             best_theta = theta.copy()

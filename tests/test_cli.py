@@ -15,7 +15,7 @@ from hive_vqe import ansatz, diagnostics, loss
 from hive_vqe.cli import main
 from hive_vqe.hamiltonian import PauliSum
 from hive_vqe.harness import trace_without_wall_ms
-from hive_vqe.optimizers import ConvergenceTrace, DivergenceError, Termination
+from hive_vqe.optimizers import DivergenceError, TraceRecord
 from test_harness import fail_writes_midway
 
 
@@ -162,8 +162,7 @@ def test_sweep_survives_a_crashed_worker(tmp_path, capsys, monkeypatch):
 
 def test_run_divergence_exits_three(tmp_path, capsys, monkeypatch):
     def diverge(config):
-        raise DivergenceError("non-finite loss or gradient at iteration 1",
-                              ConvergenceTrace([], Termination.DIVERGED))
+        raise DivergenceError("non-finite loss or gradient at iteration 1")
 
     monkeypatch.setattr(cli, "execute_run", diverge)
     assert main(["run", "--config", write_config(tmp_path, TINY), "--out", str(tmp_path / "r")]) == 3
@@ -265,6 +264,25 @@ def test_plot_failure_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     assert main(["plot", str(run_dir), "--out", str(out / "out.svg")]) == 2
     assert "No space" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["inf", "-inf", "nan", "abc"])
+def test_plot_target_must_be_a_finite_number(tmp_path, capsys, target):
+    trace = tmp_path / "trace.csv"
+    harness.write_trace_csv([TraceRecord(1, -2.0, 0.5, 60, 1.0)], trace)
+    svg = tmp_path / "out.svg"
+    assert main(["plot", str(trace), "--out", str(svg), f"--target={target}"]) == 1
+    assert "--target: expected a finite number" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("target", ["0", "-1e-6"])
+def test_plot_nonpositive_target_draws_no_line(tmp_path, target):
+    trace = tmp_path / "trace.csv"
+    harness.write_trace_csv([TraceRecord(1, -2.0, 0.5, 60, 1.0)], trace)
+    svg = tmp_path / "out.svg"
+    assert main(["plot", str(trace), "--out", str(svg), f"--target={target}"]) == 0
+    assert "stroke-dasharray" not in svg.read_text()
 
 
 def test_plot_missing_trace(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hive_vqe.harness as harness
+from hive_vqe.cli import main
 from hive_vqe.config import ConfigError, experiment_from_mapping, parse_config_text
 from hive_vqe.harness import (
     TRACE_HEADER,
@@ -22,6 +23,7 @@ from hive_vqe.harness import (
     worker_count,
     write_trace_csv,
 )
+from hive_vqe.optimizers import Termination
 
 
 def make_config(extra=""):
@@ -83,6 +85,70 @@ def test_execute_run_adam_picks_best_restart():
         assert artifact.trace.reached_target
         assert artifact.trace.iterations == min(s.iterations for s in reached)
         assert artifact.seed in {s.seed for s in reached}
+
+
+def diverge_restarts(monkeypatch, diverging):
+    """Give the restarts numbered in ``diverging`` a NaN gradient from iteration 3 on.
+
+    Returns the list of traces ``harness.run_optimization`` hands back.
+    """
+    built = []
+
+    class Diverging(harness.VqeObjective):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.restart = len(built)
+            self.gradient_calls = 0
+            built.append(self)
+
+        def _value_and_grad(self, theta):
+            energy, gradient = super()._value_and_grad(theta)
+            self.gradient_calls += 1
+            if self.restart in diverging and self.gradient_calls >= 3:
+                gradient = np.full_like(gradient, np.nan)
+            return energy, gradient
+
+    traces = []
+
+    def recorded(*args, _run=harness.run_optimization, **kwargs):
+        traces.append(_run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(harness, "VqeObjective", Diverging)
+    monkeypatch.setattr(harness, "run_optimization", recorded)
+    return traces
+
+
+ADAM_THREE = "optimizer = adam\noptimizer.adam.restarts = 3\n"
+
+
+def test_a_diverged_restart_is_recorded_and_not_kept(tmp_path, monkeypatch):
+    config = make_config(ADAM_THREE)
+    undisturbed = execute_run(config)
+    kept = [s.seed for s in undisturbed.restarts].index(undisturbed.seed)
+    traces = diverge_restarts(monkeypatch, {kept})
+    artifact = execute_run(config)
+    assert len(traces) == 3
+    assert traces[kept].terminated_by is Termination.DIVERGED
+    assert [r.iteration for r in traces[kept].records] == [1, 2]
+    assert artifact.seed != undisturbed.seed
+    assert artifact.trace is not traces[kept]
+    restarts = json.loads(save_run(artifact, tmp_path / "out")["run"].read_text())["restarts"]
+    assert [r["diverged"] for r in restarts] == [index == kept for index in range(3)]
+    assert restarts[kept]["iterations"] == 2
+
+
+def test_every_restart_diverged_exits_three(tmp_path, monkeypatch, capsys):
+    traces = diverge_restarts(monkeypatch, {0, 1, 2})
+    config = tmp_path / "adam.cfg"
+    config.write_text("qubits = 2\ndepth = 2\nmax_iterations = 150\n" + ADAM_THREE)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert len(traces) == 3
+    assert capsys.readouterr().err.strip() == (
+        "numeric failure: non-finite loss or gradient at iteration 3"
+    )
+    assert not out.exists()
 
 
 def test_derived_seed_is_stable_and_distinct():

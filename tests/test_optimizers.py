@@ -10,7 +10,6 @@ from hive_vqe.optimizers import (
     SEED_LIMIT,
     AdamConfig,
     BoaConfig,
-    DivergenceError,
     Termination,
     adam_step,
     boa_cycle,
@@ -51,16 +50,20 @@ class Constant(Objective):
 
 
 class Explosive(Objective):
-    """Objective whose gradient is non-finite from the start."""
+    """Bowl whose gradient turns non-finite after ``finite_steps`` gradient calls."""
 
-    def __init__(self):
+    def __init__(self, finite_steps):
         super().__init__(1, reference=0.0)
+        self.finite_steps = finite_steps
+        self.gradient_calls = 0
 
     def _value(self, theta):
-        return 1.0
+        return float(theta[0] ** 2)
 
     def _value_and_grad(self, theta):
-        return 1.0, np.array([np.inf])
+        self.gradient_calls += 1
+        finite = self.gradient_calls <= self.finite_steps
+        return self._value(theta), 2.0 * theta if finite else np.array([np.inf])
 
 
 def test_quantize15_round_trip():
@@ -313,9 +316,14 @@ def test_run_optimization_validation():
 
 
 def test_adam_divergence_carries_partial_trace():
-    with pytest.raises(DivergenceError) as error:
-        run_optimization(Explosive(), AdamConfig(), seed=1, max_iterations=10)
-    assert error.value.trace.terminated_by is Termination.DIVERGED
+    trace = run_optimization(Explosive(finite_steps=4), AdamConfig(), seed=1, max_iterations=10)
+    assert trace.terminated_by is Termination.DIVERGED
+    assert not trace.reached_target
+    assert [r.iteration for r in trace.records] == [1, 2, 3, 4]
+    assert trace.iterations == 4
+    assert trace.best_parameters is not None
+    best_energy = float(trace.best_parameters[0] ** 2)
+    assert quantize15(best_energy) == min(r.best_energy for r in trace.records)
 
 
 def test_traces_are_deterministic_per_seed():
